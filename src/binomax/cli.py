@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -126,7 +127,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
-    """Accept 'N', 'A..B' (inclusive), or a comma list of integers."""
+    """Accept 'N', 'A..B' (inclusive), or a comma list of integers.
+
+    An empty result (say '5..1') is an error: a grid with no points
+    would pass every check without checking anything.
+    """
     out: list[int] = []
     try:
         for part in text.split(","):
@@ -138,10 +143,20 @@ def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
                 out.append(int(part))
     except ValueError:
         raise ValueError(f"cannot parse {name} list {text!r}") from None
+    if not out:
+        raise ValueError(f"{name} list {text!r} is empty")
     for v in out:
         if v < minimum:
             raise ValueError(f"{name} values must be >= {minimum}, got {v}")
     return out
+
+
+def _parse_finite(text: str) -> float:
+    """A decimal as a float; 'inf', 'nan' and overflowing values are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"s must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_rational_loose(text: str) -> Fraction:
@@ -149,7 +164,7 @@ def _parse_rational_loose(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError:
-        return Fraction(float(text))
+        return Fraction(_parse_finite(text))
 
 
 def _resolve_seed(seed_arg: int | None) -> int:
@@ -199,7 +214,7 @@ def _cmd_quadrature(args) -> int:
     tol = args.tol
     if not tol >= TOLERANCE_FLOOR:
         raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g}, got {tol:g}")
-    s_values = [float(tok) for tok in args.s.split(",")]
+    s_values = [_parse_finite(tok) for tok in args.s.split(",")]
     if any(s <= 0 for s in s_values):
         raise NonPositiveS("--s values must be > 0")
     n_values = _parse_int_list(args.n, "n")

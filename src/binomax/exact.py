@@ -57,6 +57,13 @@ def check_natural(value: int, name: str = "n") -> int:
     return value
 
 
+def check_positive(value: int, name: str = "m") -> int:
+    """Validate a positive integer argument (a gamma shape) and return it."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), exactly; 0 when k > n.
 

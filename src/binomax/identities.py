@@ -32,7 +32,7 @@ from .errors import (
     NRequired,
     UnknownIdentity,
 )
-from .exact import Rational, check_natural, format_rational
+from .exact import Rational, check_natural, check_positive, format_rational
 from .jets import Jet, jet_constant, jet_variable
 
 #: Default parameter sweep used by the verification engine and the CLI.
@@ -76,12 +76,7 @@ class IdentityParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", Fraction(self.s))
-        if self.s <= 0:
-            raise NonPositiveS(f"s must be > 0, got {format_rational(self.s)}")
-        check_natural(self.n, "n")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "s", _check(self.s, self.n, self.m))
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,18 @@ class VerificationReport:
         object.__setattr__(self, "equal", self.lhs == self.rhs)
 
 
-def _require_positive_s(s: Rational) -> Fraction:
+def _check(s: Rational, n: int, m: int = 1) -> Fraction:
+    """The one parameter check: s > 0, n >= 0, m >= 1, in that order.
+
+    Returns s as a Fraction.  Every public evaluator and
+    :class:`IdentityParams` validate through here; the row evaluators
+    below take parameters already checked.
+    """
     s = Fraction(s)
     if s <= 0:
         raise NonPositiveS(f"s must be > 0, got {format_rational(s)}")
+    check_natural(n, "n")
+    check_positive(m, "m")
     return s
 
 
@@ -116,8 +119,7 @@ def _signed_binomials(n: int) -> Iterable[tuple[int, int]]:
 
 def eval_basic_lhs(s: Rational, n: int) -> Rational:
     """Alternating sum  sum_{k=0..n} (-1)^k C(n,k) s/(s+k);  1 for n = 0."""
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     total = Fraction(0)
     for k, c in _signed_binomials(n):
         total += c * s / (s + k)
@@ -126,8 +128,7 @@ def eval_basic_lhs(s: Rational, n: int) -> Rational:
 
 def eval_basic_rhs(s: Rational, n: int) -> Rational:
     """Product form  prod_{k=1..n} k/(s+k)  =  n!/((s+1)...(s+n));  1 for n = 0."""
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     result = Fraction(1)
     for k in range(1, n + 1):
         result *= Fraction(k) / (s + k)
@@ -140,8 +141,7 @@ def eval_f_jet(s: Rational, n: int, order: int) -> Jet:
     Term k is the jet of s/(s+k), so derivative j of the result is the
     exact j-th derivative of the sum form.
     """
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     check_natural(order, "order")
     var = jet_variable(s, order)
     acc = jet_constant(0, order, at=s)
@@ -152,8 +152,7 @@ def eval_f_jet(s: Rational, n: int, order: int) -> Jet:
 
 def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
     """Jet of the product side  prod_{k=1..n} k/(s+k)  at s."""
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     check_natural(order, "order")
     var = jet_variable(s, order)
     acc = jet_constant(1, order, at=s)
@@ -162,25 +161,52 @@ def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
     return acc
 
 
+def _derivative_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Rational]:
+    """Derivative-route tail probability for every m in ms, from one jet.
+
+    The tail for shape m is  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s),
+    and s^k/k! * f^(k)(s) = s^k * coeffs[k], so the tails are prefix
+    sums over the coefficients of one jet of f of order max(ms) - 1.
+    """
+    jet = eval_f_jet(s, n, max(ms) - 1)
+    prefix = []
+    total = Fraction(0)
+    s_pow = Fraction(1)
+    for k, coeff in enumerate(jet.coeffs):
+        term = s_pow * coeff
+        total = total - term if k & 1 else total + term
+        prefix.append(total)
+        s_pow *= s
+    return {m: prefix[m - 1] for m in ms}
+
+
+def _conditioning_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Rational]:
+    """Conditioning-route tail probability for every m in ms, in one pass:
+
+    sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m, climbing the powers of each
+    ratio once through the requested m in ascending order.  A step of
+    one is a multiplication; a gap is jumped with one power, so a single
+    m costs no more than (s/(s+k))^m itself.
+    """
+    totals = dict.fromkeys(sorted(set(ms)), Fraction(0))
+    for k, c in _signed_binomials(n):
+        ratio = s / (s + k)
+        term, climbed = Fraction(c), 0
+        for m in totals:
+            step = m - climbed
+            term *= ratio if step == 1 else ratio ** step
+            climbed = m
+            totals[m] += term
+    return totals
+
+
 def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
     """P(gamma(s, m) exceeds the max of n unit exponentials), derivative route.
 
     Equals  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s)  where f is the
     transform of the max; the jet supplies the exact derivatives.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    jet = eval_f_jet(s, n, m - 1)
-    s = Fraction(s)
-    total = Fraction(0)
-    s_pow = Fraction(1)
-    sign = 1
-    for k in range(m):
-        # s^k/k! * f^(k)(s) = s^k * coeffs[k]
-        total += sign * s_pow * jet.coeffs[k]
-        s_pow *= s
-        sign = -sign
-    return total
+    return _derivative_tails(_check(s, n, m), n, [m])[m]
 
 
 def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
@@ -188,14 +214,15 @@ def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    s = _require_positive_s(s)
-    check_natural(n, "n")
-    total = Fraction(0)
-    for k, c in _signed_binomials(n):
-        total += c * (s / (s + k)) ** m
-    return total
+    return _conditioning_tails(_check(s, n, m), n, [m])[m]
+
+
+def _tail_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
+    """Both tail-probability routes at (s, n) for every m in ms, each
+    route evaluated once for all of them."""
+    via_derivatives = _derivative_tails(s, n, ms)
+    via_conditioning = _conditioning_tails(s, n, ms)
+    return [(via_derivatives[m], via_conditioning[m]) for m in ms]
 
 
 def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
@@ -226,8 +253,7 @@ def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     lhs = sum (-1)^k C(n,k) (s/(s+k))^2
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     lhs = Fraction(0)
     for k, c in _signed_binomials(n):
         lhs += c * (s / (s + k)) ** 2
@@ -244,24 +270,29 @@ def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
     The right side comes through the density of the max, which exists
     only for n >= 1; at n = 0 it would be 0 while the left side is 1.
     """
-    s = _require_positive_s(s)
-    check_natural(n, "n")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if n == 0:
-        raise NRequired("the general-m identity requires n >= 1")
-    lhs = tail_prob_via_conditioning(m, s, n)
-    inner = Fraction(0)
+    report = verify(IdentityId.GENERAL_M, IdentityParams(s, n, m))
+    return report.lhs, report.rhs
+
+
+def _general_m_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
+    """Both sides of the general-m identity at (s, n) for every m in ms.
+
+    One pass over j accumulates the geometric partial sums
+    sum_{i=1..m} (s/(s+j+1))^i for all m at once.
+    """
+    lhs = _conditioning_tails(s, n, ms)
+    inner = dict.fromkeys(ms, Fraction(0))
     for j, c in _signed_binomials(n - 1):
         ratio = s / (s + j + 1)
         power = Fraction(1)
         geometric = Fraction(0)
-        for _ in range(m):
+        for m in range(1, max(ms) + 1):
             power *= ratio
             geometric += power
-        inner += c * geometric
-    rhs = Fraction(n) / s * inner
-    return lhs, rhs
+            if m in inner:
+                inner[m] += c * geometric
+    scale = Fraction(n) / s
+    return [(lhs[m], scale * inner[m]) for m in ms]
 
 
 def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -272,8 +303,7 @@ def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
 
     with the k = 0 product empty, hence 1.
     """
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     lhs = Fraction(0)
     product = Fraction(1)
     for k, c in _signed_binomials(n):
@@ -289,8 +319,7 @@ def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
     lhs = sum_{k=0..n} (-1)^k C(n,k) [prod_{j=1..k} j/(s+j)] [sum_{i=0..k} s/(s+i)]
     rhs = (s/(s+n))^2
     """
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     lhs = Fraction(0)
     product = Fraction(1)
     partial = Fraction(1)  # sum_{i=0..k} s/(s+i), seeded with the i = 0 term
@@ -311,8 +340,7 @@ def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     The inner sum runs j = 1..n: it is the logarithmic derivative of the
     full product, as the jet oracle confirms.
     """
-    s = _require_positive_s(s)
-    check_natural(n, "n")
+    s = _check(s, n)
     log_sum = sum((Fraction(1) / (s + j) for j in range(1, n + 1)), Fraction(0))
     lhs = eval_basic_rhs(s, n) * log_sum
     rhs = Fraction(0)
@@ -338,20 +366,31 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
     return out
 
 
-_Evaluator = Callable[[IdentityParams], tuple[Rational, Rational]]
+# A row evaluator maps a checked (s, n) and shapes ms to one (lhs, rhs)
+# per m in ms.  The lambdas look names up at call time, so a replaced
+# module attribute (a test double, a tracer) is the one that runs.
+_RowEvaluator = Callable[[Fraction, int, Sequence[int]], list[tuple[Rational, Rational]]]
 
-_DISPATCH: dict[IdentityId, _Evaluator] = {
-    IdentityId.BASIC: lambda p: (eval_basic_lhs(p.s, p.n), eval_basic_rhs(p.s, p.n)),
-    IdentityId.SQUARED: lambda p: eval_squared_identity(p.s, p.n),
-    IdentityId.GENERAL_M: lambda p: eval_general_m(p.s, p.n, p.m),
-    IdentityId.INVERSION_FIRST: lambda p: eval_inversion_first(p.s, p.n),
-    IdentityId.INVERSION_SECOND: lambda p: eval_inversion_second(p.s, p.n),
-    IdentityId.DERIVATIVE_FG: lambda p: eval_derivative_identity(p.s, p.n),
-    IdentityId.TAIL_DERIVATIVE_FORM: lambda p: (
-        tail_prob_via_derivatives(p.m, p.s, p.n),
-        tail_prob_via_conditioning(p.m, p.s, p.n),
-    ),
+_ROWS: dict[IdentityId, _RowEvaluator] = {
+    IdentityId.BASIC: lambda s, n, ms: [(eval_basic_lhs(s, n), eval_basic_rhs(s, n))] * len(ms),
+    IdentityId.SQUARED: lambda s, n, ms: [eval_squared_identity(s, n)] * len(ms),
+    IdentityId.GENERAL_M: lambda s, n, ms: _general_m_rows(s, n, ms),
+    IdentityId.INVERSION_FIRST: lambda s, n, ms: [eval_inversion_first(s, n)] * len(ms),
+    IdentityId.INVERSION_SECOND: lambda s, n, ms: [eval_inversion_second(s, n)] * len(ms),
+    IdentityId.DERIVATIVE_FG: lambda s, n, ms: [eval_derivative_identity(s, n)] * len(ms),
+    IdentityId.TAIL_DERIVATIVE_FORM: lambda s, n, ms: _tail_rows(s, n, ms),
 }
+
+
+def _row_evaluator(identity: IdentityId, n: int) -> _RowEvaluator:
+    """The row evaluator of an identity, once n is in its domain."""
+    try:
+        evaluate = _ROWS[identity]
+    except (KeyError, TypeError):
+        raise UnknownIdentity(f"no evaluator registered for {identity!r}") from None
+    if identity is IdentityId.GENERAL_M and n == 0:
+        raise NRequired("the general-m identity requires n >= 1")
+    return evaluate
 
 
 def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
@@ -360,11 +399,7 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     Invalid parameters raise (propagated from the evaluators); they are
     never coerced.
     """
-    try:
-        evaluator = _DISPATCH[identity]
-    except (KeyError, TypeError):
-        raise UnknownIdentity(f"no evaluator registered for {identity!r}") from None
-    lhs, rhs = evaluator(params)
+    [(lhs, rhs)] = _row_evaluator(identity, params.n)(params.s, params.n, [params.m])
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
 
 
@@ -383,7 +418,11 @@ def sweep(
 
     Reports come back in a canonical order, sorted on
     (identity, n, m, s), regardless of evaluation order.  Identities
-    that ignore m contribute one row per (s, n) with m = 1.
+    that ignore m contribute one row per (s, n) with m = 1.  Each
+    (identity, n, s) is evaluated once for all m.  An invalid grid raises
+    what verifying its points one at a time in (identity, n, m, s) order
+    would: at each n the first point's parameters are checked, then the
+    identity's domain, then the remaining points.
     """
     chosen = list(identities) if identities is not None else list(IdentityId)
     reports: list[VerificationReport] = []
@@ -394,9 +433,20 @@ def sweep(
             if (m_values is not None and identity in USES_M)
             else (list(range(1, DEFAULT_M_MAX + 1)) if identity in USES_M else [1])
         )
+        if not ms or not s_grid:
+            continue
+        width = len(s_grid)
         for n in ns:
-            for m in ms:
-                for s in s_grid:
-                    reports.append(verify(identity, IdentityParams(s=s, n=n, m=m)))
+            # The first point's own errors come before the identity's domain error.
+            IdentityParams(s=s_grid[0], n=n, m=ms[0])
+            evaluate = _row_evaluator(identity, n)
+            points = [IdentityParams(s=s, n=n, m=m) for m in ms for s in s_grid]
+            for j in range(width):
+                column = points[j::width]  # s_grid[j] at every m
+                values = evaluate(column[0].s, n, ms)
+                reports.extend(
+                    VerificationReport(identity=identity, params=p, lhs=lhs, rhs=rhs)
+                    for p, (lhs, rhs) in zip(column, values)
+                )
     reports.sort(key=lambda r: (_RANK[r.identity], r.params.n, r.params.m, r.params.s))
     return reports

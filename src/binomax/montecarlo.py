@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientSamples, NRequired, TooFewSamples
-from .exact import Rational
+from .exact import Rational, check_positive
 from .identities import eval_basic_rhs, tail_prob_exact
 
 MIN_SAMPLES = 10_000
@@ -92,8 +92,7 @@ def sample_sum_exp(n: int, rng: np.random.Generator, size: int | None = None):
 
 def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int | None = None):
     """Integer-shape gamma draw(s): the sum of m independent rate-s exponentials."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    check_positive(m, "m")
     if not float(s) > 0:
         raise ValueError(f"s must be > 0, got {s!r}")
     rate = float(s)
@@ -129,8 +128,7 @@ def estimate_tail_prob(m: int, s, n: int, samples: int, cfg: RngConfig) -> Monte
     is attached as the reference.  Draw order is fixed: all gamma
     variates first, then all maxima.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    check_positive(m, "m")
     if not isinstance(n, int) or n < 1:
         raise NRequired(f"n must be >= 1, got {n!r}")
     if samples < MIN_SAMPLES:

@@ -204,3 +204,28 @@ class TestUsage:
 
     def test_simulate_requires_suite(self, capsys):
         assert run_cli(capsys, "simulate")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--suite", "tail", "--s", "inf", "--n", "1"),
+        ("simulate", "--suite", "laplace", "--s", "nan"),
+        ("simulate", "--suite", "tail", "--s", "1e400"),
+        ("quadrature", "--s", "1,inf", "--n", "1"),
+        ("quadrature", "--s", "nan", "--n", "1"),
+    ])
+    def test_non_finite_s_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--identity", "basic", "--n", "5..1"),
+        ("quadrature", "--s", "1", "--n", "5..1"),
+        ("simulate", "--suite", "lemma1", "--n", "5..1"),
+    ], ids=["verify", "quadrature", "simulate"])
+    def test_empty_grid_is_usage_error(self, capsys, argv):
+        # a grid with no points must not pass vacuously
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "empty" in err

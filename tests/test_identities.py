@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binomax import identities
 from binomax.errors import (
     EmptySequence,
     NonPositiveS,
@@ -32,6 +33,7 @@ from binomax.identities import (
     tail_prob_via_derivatives,
     verify,
 )
+from binomax.jets import Jet
 
 ONE = Fraction(1)
 SMALL_S = [Fraction(1, 7), Fraction(1), Fraction(3, 2), Fraction(10)]
@@ -295,6 +297,67 @@ class TestVerifyAndSweep:
         generals = [r for r in reports if r.identity is IdentityId.GENERAL_M]
         assert len(basics) == 6       # m collapses to 1 for m-independent identities
         assert len(generals) == 12    # 3 n * 2 m * 2 s
+
+    @pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+    @pytest.mark.parametrize("m_values", [[3, 1, 3], [2, 5]], ids=["repeated", "gapped"])
+    def test_sweep_matches_per_point_verify(self, identity, m_values):
+        # each (identity, s, n) is evaluated once for all m; the rows must
+        # be exactly those of verifying every point on its own, duplicates
+        # and ordering included
+        s_grid = [Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(1000, 3)]
+        n_values = [4, 1, 7]
+        reports = sweep([identity], s_grid, n_values, m_values)
+        ms = m_values if identity in identities.USES_M else [1]
+        expected = sorted(
+            (verify(identity, IdentityParams(s, n, m)) for n in n_values for m in ms for s in s_grid),
+            key=lambda r: (r.params.n, r.params.m, r.params.s),
+        )
+        assert reports == expected
+        assert all(r.equal for r in reports)
+
+    def test_sweep_builds_one_jet_per_s_and_n(self, monkeypatch):
+        calls = []
+        real = identities.eval_f_jet
+
+        def counting(s, n, order):
+            calls.append((s, n, order))
+            return real(s, n, order)
+
+        monkeypatch.setattr(identities, "eval_f_jet", counting)
+        s_grid = [Fraction(1, 7), Fraction(2), Fraction(10)]
+        reports = sweep([IdentityId.TAIL_DERIVATIVE_FORM], s_grid, [3, 0, 5], [3, 1, 3, 2])
+        assert len(reports) == 3 * 4 * 3
+        assert sorted(calls) == sorted((s, n, 2) for s in s_grid for n in (3, 0, 5))
+
+    def test_sweep_tail_routes_stay_independent(self, monkeypatch):
+        # shifting the jet's value moves the derivative route only: the
+        # conditioning route never reads the jet
+        real = identities.eval_f_jet
+
+        def shifted(s, n, order):
+            jet = real(s, n, order)
+            return Jet(jet.base_point, (jet.coeffs[0] + 1,) + jet.coeffs[1:])
+
+        grid = ([IdentityId.TAIL_DERIVATIVE_FORM], [Fraction(1, 2), Fraction(3)], [1, 4], [2, 5, 1])
+        honest = sweep(*grid)
+        monkeypatch.setattr(identities, "eval_f_jet", shifted)
+        broken = sweep(*grid)
+        assert [r.rhs for r in broken] == [r.rhs for r in honest]
+        assert [r.lhs for r in broken] == [r.lhs + 1 for r in honest]
+
+    def test_sweep_first_invalid_point_raises_as_per_point(self):
+        # points are met in (identity, n, m, s) order; the first bad one
+        # decides the error, its own parameters before the identity's domain
+        with pytest.raises(NRequired, match="n >= 1"):
+            sweep([IdentityId.GENERAL_M], [ONE, Fraction(-1)], [0], [1])
+        with pytest.raises(NonPositiveS, match="got -1"):
+            sweep([IdentityId.GENERAL_M], [Fraction(-1), ONE], [0], [1])
+        with pytest.raises(NonPositiveS, match="got 0"):
+            sweep([IdentityId.TAIL_DERIVATIVE_FORM], [ONE, Fraction(0)], [1], [1, 0])
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            sweep([IdentityId.TAIL_DERIVATIVE_FORM], [ONE, Fraction(2)], [1], [1, 0])
+        with pytest.raises(NRequired):
+            sweep([IdentityId.BASIC, IdentityId.GENERAL_M], [ONE], [0, 1], [1])
 
     def test_sweep_defaults_cover_every_identity(self):
         reports = sweep(s_grid=[ONE], n_values=[1, 2], m_values=[1, 2])
