@@ -206,7 +206,8 @@ def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
     Equals  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s)  where f is the
     transform of the max; the jet supplies the exact derivatives.
     """
-    return _derivative_tails(_check(s, n, m), n, [m])[m]
+    check_positive(m, "m")  # m before s and n, as the arguments run
+    return _derivative_tails(_check(s, n), n, [m])[m]
 
 
 def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
@@ -214,7 +215,8 @@ def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m.
     """
-    return _conditioning_tails(_check(s, n, m), n, [m])[m]
+    check_positive(m, "m")
+    return _conditioning_tails(_check(s, n), n, [m])[m]
 
 
 def _tail_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
@@ -282,11 +284,12 @@ def _general_m_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Ration
     """
     lhs = _conditioning_tails(s, n, ms)
     inner = dict.fromkeys(ms, Fraction(0))
+    top = max(ms)
     for j, c in _signed_binomials(n - 1):
         ratio = s / (s + j + 1)
         power = Fraction(1)
         geometric = Fraction(0)
-        for m in range(1, max(ms) + 1):
+        for m in range(1, top + 1):
             power *= ratio
             geometric += power
             if m in inner:
@@ -435,14 +438,12 @@ def sweep(
         )
         if not ms or not s_grid:
             continue
-        width = len(s_grid)
         for n in ns:
             # The first point's own errors come before the identity's domain error.
             IdentityParams(s=s_grid[0], n=n, m=ms[0])
             evaluate = _row_evaluator(identity, n)
-            points = [IdentityParams(s=s, n=n, m=m) for m in ms for s in s_grid]
-            for j in range(width):
-                column = points[j::width]  # s_grid[j] at every m
+            points = [[IdentityParams(s=s, n=n, m=m) for s in s_grid] for m in ms]
+            for column in zip(*points):  # one s at every m
                 values = evaluate(column[0].s, n, ms)
                 reports.extend(
                     VerificationReport(identity=identity, params=p, lhs=lhs, rhs=rhs)

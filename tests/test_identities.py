@@ -153,6 +153,12 @@ class TestTailProbability:
         with pytest.raises(NonPositiveS):
             tail_prob_exact(1, Fraction(-1), 1)
 
+    @pytest.mark.parametrize("route", [tail_prob_via_derivatives, tail_prob_via_conditioning, tail_prob_exact])
+    def test_m_checked_before_s_and_n(self, route):
+        # (m, s, n) are validated in argument order
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            route(0, Fraction(-1), -1)
+
 
 class TestSquaredIdentity:
     def test_hand_values(self):
