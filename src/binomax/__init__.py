@@ -5,91 +5,31 @@ Four independent evaluation routes are provided for the same quantities:
 exact rational arithmetic, exact jet (truncated Taylor) differentiation,
 adaptive numerical quadrature, and seeded Monte Carlo simulation.  The
 library's value is the cross-checks between them.
+
+The package namespace holds the names of the README's quick tour; every
+other name lives in its submodule (``binomax.exact``, ``binomax.jets``,
+``binomax.identities``, ``binomax.quadrature``, ``binomax.montecarlo``,
+``binomax.errors``).
 """
 
-from .errors import (
-    DivisionByZeroJet,
-    EmptySequence,
-    InsufficientSamples,
-    InternalRouteMismatch,
-    MixedJets,
-    NonPositiveS,
-    NRequired,
-    OrderExceeded,
-    ToleranceNotMet,
-    TooFewSamples,
-    UnknownIdentity,
-    ZeroFactor,
-)
-from .exact import (
-    Rational,
-    binomial,
-    check_natural,
-    factorial,
-    format_rational,
-    parse_rational,
-    rising_product,
-)
-from .jets import Jet, jet_constant, jet_variable
 from .identities import (
-    DEFAULT_S_GRID,
     IdentityId,
     IdentityParams,
     VerificationReport,
-    binomial_invert,
     eval_basic_lhs,
     eval_basic_rhs,
-    eval_derivative_identity,
     eval_f_jet,
-    eval_g_jet,
-    eval_general_m,
-    eval_inversion_first,
-    eval_inversion_second,
-    eval_squared_identity,
     sweep,
     tail_prob_exact,
-    tail_prob_via_conditioning,
-    tail_prob_via_derivatives,
     verify,
 )
-from .quadrature import (
-    QuadratureResult,
-    adaptive_simpson,
-    laplace_via_cdf_quadrature,
-    laplace_via_density_quadrature,
-)
-from .montecarlo import (
-    KsResult,
-    MonteCarloEstimate,
-    RngConfig,
-    empirical_laplace,
-    estimate_tail_prob,
-    exp_sample,
-    ks_two_sample,
-    sample_gamma_integer,
-    sample_max_exp,
-    sample_sum_exp,
-    uniform_open,
-)
+from .montecarlo import RngConfig, estimate_tail_prob
+from .quadrature import laplace_via_density_quadrature
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "binomial", "factorial", "rising_product",
-    "parse_rational", "format_rational", "check_natural",
-    "Jet", "jet_constant", "jet_variable",
-    "IdentityId", "IdentityParams", "VerificationReport",
-    "DEFAULT_S_GRID", "sweep", "verify", "binomial_invert",
-    "eval_basic_lhs", "eval_basic_rhs", "eval_f_jet", "eval_g_jet",
-    "eval_squared_identity", "eval_general_m", "eval_inversion_first",
-    "eval_inversion_second", "eval_derivative_identity",
-    "tail_prob_exact", "tail_prob_via_conditioning", "tail_prob_via_derivatives",
-    "QuadratureResult", "adaptive_simpson",
-    "laplace_via_cdf_quadrature", "laplace_via_density_quadrature",
-    "RngConfig", "MonteCarloEstimate", "KsResult",
-    "exp_sample", "sample_max_exp", "sample_sum_exp", "sample_gamma_integer",
-    "estimate_tail_prob", "empirical_laplace", "ks_two_sample", "uniform_open",
-    "ZeroFactor", "MixedJets", "DivisionByZeroJet", "OrderExceeded",
-    "NonPositiveS", "NRequired", "InternalRouteMismatch", "EmptySequence",
-    "UnknownIdentity", "ToleranceNotMet", "InsufficientSamples", "TooFewSamples",
+    "IdentityId", "IdentityParams", "VerificationReport", "sweep", "verify",
+    "eval_basic_lhs", "eval_basic_rhs", "eval_f_jet", "tail_prob_exact",
+    "laplace_via_density_quadrature", "RngConfig", "estimate_tail_prob",
 ]

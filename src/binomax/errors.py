@@ -7,10 +7,6 @@ completed, not that the caller passed bad input.
 """
 
 
-class ZeroFactor(ArithmeticError):
-    """A product factor s + k hit zero (s at a pole)."""
-
-
 class MixedJets(ValueError):
     """Jet operands disagree on expansion point or truncation order."""
 

@@ -18,8 +18,6 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ZeroFactor
-
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -50,54 +48,17 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def check_natural(value: int, name: str = "n") -> int:
-    """Validate a non-negative integer argument and return it."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
+def check_natural(value: int, name: str = "n", minimum: int = 0) -> int:
+    """Validate an integer argument of at least ``minimum`` (0 or 1) and return it.
 
-
-def check_positive(value: int, name: str = "m") -> int:
-    """Validate a positive integer argument (a gamma shape) and return it."""
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), exactly; 0 when k > n.
-
-    Multiplicative formula with exact intermediate division, so C(n, k)
-    never routes through full factorials.
+    ``bool`` is rejected although it subclasses ``int``: ``True`` is not a count.
     """
-    check_natural(n, "n")
-    check_natural(k, "k")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - i + 1) // i
-    return result
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "a positive integer" if minimum else "a non-negative integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def factorial(n: int) -> int:
     """n! exactly, with 0! = 1."""
     return math.factorial(check_natural(n, "n"))
-
-
-def rising_product(s: Fraction, n: int) -> Fraction:
-    """The product (s+1)(s+2)...(s+n); 1 for n = 0 (empty product).
-
-    Raises :class:`ZeroFactor` if any factor vanishes, i.e. s is one of
-    the poles -1, ..., -n.
-    """
-    check_natural(n, "n")
-    s = Fraction(s)
-    result = Fraction(1)
-    for k in range(1, n + 1):
-        factor = s + k
-        if factor == 0:
-            raise ZeroFactor(f"factor s + {k} is zero at s = {format_rational(s)}")
-        result *= factor
-    return result

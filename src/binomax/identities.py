@@ -32,7 +32,7 @@ from .errors import (
     NRequired,
     UnknownIdentity,
 )
-from .exact import Rational, check_natural, check_positive, format_rational
+from .exact import Rational, check_natural, format_rational
 from .jets import Jet, jet_constant, jet_variable
 
 #: Default parameter sweep used by the verification engine and the CLI.
@@ -104,7 +104,7 @@ def _check(s: Rational, n: int, m: int = 1) -> Fraction:
     if s <= 0:
         raise NonPositiveS(f"s must be > 0, got {format_rational(s)}")
     check_natural(n, "n")
-    check_positive(m, "m")
+    check_natural(m, "m", 1)
     return s
 
 
@@ -206,7 +206,7 @@ def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
     Equals  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s)  where f is the
     transform of the max; the jet supplies the exact derivatives.
     """
-    check_positive(m, "m")  # m before s and n, as the arguments run
+    check_natural(m, "m", 1)  # m before s and n, as the arguments run
     return _derivative_tails(_check(s, n), n, [m])[m]
 
 
@@ -215,7 +215,7 @@ def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m.
     """
-    check_positive(m, "m")
+    check_natural(m, "m", 1)
     return _conditioning_tails(_check(s, n), n, [m])[m]
 
 

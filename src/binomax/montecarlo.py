@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientSamples, NRequired, TooFewSamples
-from .exact import Rational, check_positive
+from .exact import Rational, check_natural
 from .identities import eval_basic_rhs, tail_prob_exact
 
 MIN_SAMPLES = 10_000
@@ -48,58 +48,49 @@ class RngConfig:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_open(rng: np.random.Generator, size: int | None = None):
+def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws from the open interval (0, 1)."""
     k = rng.integers(1, _U53, size=size, dtype=np.uint64)
-    if size is None:
-        return float(k) / _U53
     return k.astype(np.float64) / _U53
 
 
-def exp_inverse_cdf(u, rate: float):
-    """Inverse survival map u -> -log(u)/rate for u in (0, 1)."""
-    return -np.log(u) / rate
+def _check_n(n: int) -> int:
+    """n >= 1: the samplers and estimators take the max of n draws."""
+    try:
+        return check_natural(n, "n", 1)
+    except ValueError:
+        raise NRequired(f"n must be >= 1, got {n!r}") from None
 
 
-def exp_sample(rate: float, rng: np.random.Generator, size: int | None = None):
-    """Exponential draw(s) with the given rate, by inverse CDF."""
+def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Exponential draws with the given rate, by inverse CDF: -log(u)/rate."""
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate!r}")
-    val = exp_inverse_cdf(uniform_open(rng, size), rate)
-    return float(val) if size is None else val
+    return -np.log(uniform_open(rng, size)) / rate
 
 
-def sample_max_exp(n: int, rng: np.random.Generator, size: int | None = None):
-    """Max of n independent unit-rate exponential draws."""
-    if not isinstance(n, int) or n < 1:
-        raise NRequired(f"n must be >= 1, got {n!r}")
-    if size is None:
-        return float(np.max(exp_inverse_cdf(uniform_open(rng, n), 1.0)))
+def sample_max_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Max of n independent unit-rate exponential draws, ``size`` times."""
+    _check_n(n)
     u = uniform_open(rng, size * n).reshape(size, n)
-    return exp_inverse_cdf(u, 1.0).max(axis=1)
+    return (-np.log(u)).max(axis=1)
 
 
-def sample_sum_exp(n: int, rng: np.random.Generator, size: int | None = None):
-    """Sum of independent draws Exp(1) + Exp(2) + ... + Exp(n)."""
-    if not isinstance(n, int) or n < 1:
-        raise NRequired(f"n must be >= 1, got {n!r}")
+def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sum of independent draws Exp(1) + Exp(2) + ... + Exp(n), ``size`` times."""
+    _check_n(n)
     rates = np.arange(1, n + 1, dtype=np.float64)
-    if size is None:
-        return float(np.sum(-np.log(uniform_open(rng, n)) / rates))
     u = uniform_open(rng, size * n).reshape(size, n)
     return (-np.log(u) / rates).sum(axis=1)
 
 
-def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int | None = None):
-    """Integer-shape gamma draw(s): the sum of m independent rate-s exponentials."""
-    check_positive(m, "m")
+def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Integer-shape gamma draws: the sum of m independent rate-s exponentials."""
+    check_natural(m, "m", 1)
     if not float(s) > 0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    rate = float(s)
-    if size is None:
-        return float(np.sum(exp_inverse_cdf(uniform_open(rng, m), rate)))
     u = uniform_open(rng, size * m).reshape(size, m)
-    return exp_inverse_cdf(u, rate).sum(axis=1)
+    return (-np.log(u) / float(s)).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -110,11 +101,17 @@ class MonteCarloEstimate:
     exact_reference: Rational | None = None
 
     def within_sigma(self, k: float) -> bool:
-        """True when the estimate is within k standard errors of the exact value."""
+        """True when the estimate is within k standard errors of the exact value r.
+
+        A zero ``std_error`` is replaced by sqrt(r(1-r)/samples), which bounds
+        the standard error of any [0, 1]-valued estimator of mean r.
+        """
         if self.exact_reference is None:
             raise ValueError("no exact reference attached to this estimate")
-        gap = abs(self.estimate - float(self.exact_reference))
-        return gap <= k * self.std_error if self.std_error > 0 else gap == 0.0
+        exact = float(self.exact_reference)
+        sigma = (self.std_error if self.std_error > 0
+                 else math.sqrt(exact * (1.0 - exact) / self.samples))
+        return abs(self.estimate - exact) <= k * sigma
 
 
 def _exact_s(s) -> Fraction | None:
@@ -128,9 +125,8 @@ def estimate_tail_prob(m: int, s, n: int, samples: int, cfg: RngConfig) -> Monte
     is attached as the reference.  Draw order is fixed: all gamma
     variates first, then all maxima.
     """
-    check_positive(m, "m")
-    if not isinstance(n, int) or n < 1:
-        raise NRequired(f"n must be >= 1, got {n!r}")
+    check_natural(m, "m", 1)
+    _check_n(n)
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {samples}")
     rng = cfg.generator()

@@ -26,6 +26,8 @@ from .exact import check_natural
 TOLERANCE_FLOOR = 1e-13
 
 _MAX_DEPTH = 60
+#: Intervals are split at least this many times before any is accepted.
+_MIN_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -35,30 +37,22 @@ class QuadratureResult:
     evaluations: int
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not tol >= TOLERANCE_FLOOR:
-        raise ValueError(f"tol must be >= {TOLERANCE_FLOOR:g}, got {tol:g}")
-    return tol
-
-
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
     b: float,
     tol: float,
     max_depth: int = _MAX_DEPTH,
-    min_depth: int = 4,
 ) -> QuadratureResult:
     """Adaptive Simpson integration of f over [a, b] to absolute tolerance.
 
     Each subinterval is accepted when the Richardson error estimate
     |S2 - S1|/15 falls under its share of the tolerance (halved per
     split), so accepted-leaf error estimates sum to at most ``tol``.
-    No interval is accepted above ``min_depth`` subdivisions: a coarse
+    No interval is accepted above ``_MIN_DEPTH`` subdivisions: a coarse
     first look can sit entirely off a narrow peak and report a tiny
     error for a wrong value, so the estimator must see at least
-    2^min_depth panels first.  Raises :class:`ToleranceNotMet` once an
+    2^_MIN_DEPTH panels first.  Raises :class:`ToleranceNotMet` once an
     interval still fails its tolerance at ``max_depth`` subdivisions.
     """
     count = 0
@@ -68,7 +62,7 @@ def adaptive_simpson(
         count += 1
         return f(x)
 
-    def simpson(lo: float, flo: float, mid: float, fmid: float, hi: float, fhi: float) -> float:
+    def simpson(lo: float, flo: float, fmid: float, hi: float, fhi: float) -> float:
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
     def refine(
@@ -86,10 +80,10 @@ def adaptive_simpson(
         rm = 0.5 * (mid + hi)
         flm = ev(lm)
         frm = ev(rm)
-        left = simpson(lo, flo, lm, flm, mid, fmid)
-        right = simpson(mid, fmid, rm, frm, hi, fhi)
+        left = simpson(lo, flo, flm, mid, fmid)
+        right = simpson(mid, fmid, frm, hi, fhi)
         err = (left + right - whole) / 15.0
-        if depth >= min_depth and abs(err) <= budget:
+        if depth >= _MIN_DEPTH and abs(err) <= budget:
             return left + right + err, abs(err)
         if depth >= max_depth:
             raise ToleranceNotMet(
@@ -107,9 +101,24 @@ def adaptive_simpson(
     fb = ev(b)
     mid = 0.5 * (a + b)
     fmid = ev(mid)
-    whole = simpson(a, fa, mid, fmid, b, fb)
+    whole = simpson(a, fa, fmid, b, fb)
     value, err = refine(a, fa, mid, fmid, b, fb, whole, float(tol), 0)
     return QuadratureResult(value, err, count)
+
+
+def _check_route_args(s: float, n: int, tol: float, density: bool) -> tuple[float, float]:
+    """Check s > 0, then n >= 0 (>= 1 for the density route), then tol;
+    return s and tol as floats."""
+    s = float(s)
+    if s <= 0:
+        raise NonPositiveS(f"s must be > 0, got {s!r}")
+    check_natural(n, "n")
+    if density and n == 0:
+        raise NRequired("the density route requires n >= 1")
+    tol = float(tol)
+    if not tol >= TOLERANCE_FLOOR:
+        raise ValueError(f"tol must be >= {TOLERANCE_FLOOR:g}, got {tol:g}")
+    return s, tol
 
 
 def laplace_via_cdf_quadrature(s: float, n: int, tol: float) -> QuadratureResult:
@@ -119,11 +128,7 @@ def laplace_via_cdf_quadrature(s: float, n: int, tol: float) -> QuadratureResult
     remaining tail is bounded by e^(-sT) < tol/2; the finite part is
     integrated to tol/2, so the estimated error stays <= tol.
     """
-    s = float(s)
-    if s <= 0:
-        raise NonPositiveS(f"s must be > 0, got {s!r}")
-    check_natural(n, "n")
-    tol = _check_tol(tol)
+    s, tol = _check_route_args(s, n, tol, density=False)
     cutoff = math.log(2.0 / tol) / s
 
     def integrand(t: float) -> float:
@@ -143,13 +148,7 @@ def laplace_via_density_quadrature(s: float, n: int, tol: float) -> QuadratureRe
     the infinite domain for [0, 1], and for s > 0, n >= 1 the integrand
     is continuous there, including both endpoints.
     """
-    s = float(s)
-    if s <= 0:
-        raise NonPositiveS(f"s must be > 0, got {s!r}")
-    check_natural(n, "n")
-    if n == 0:
-        raise NRequired("the density route requires n >= 1")
-    tol = _check_tol(tol)
+    s, tol = _check_route_args(s, n, tol, density=True)
 
     def integrand(w: float) -> float:
         return n * (1.0 - w) ** s * w ** (n - 1)

@@ -4,64 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binomax.errors import ZeroFactor
-from binomax.exact import (
-    binomial,
-    check_natural,
-    factorial,
-    format_rational,
-    parse_rational,
-    rising_product,
-)
-
-
-def pascal_triangle(rows):
-    """Independent oracle: full Pascal triangle by repeated addition."""
-    triangle = [[1]]
-    for n in range(1, rows + 1):
-        prev = triangle[-1]
-        triangle.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return triangle
-
-
-class TestBinomial:
-    def test_small_hand_cases(self):
-        assert binomial(5, 2) == 10
-        assert binomial(0, 0) == 1
-        for n in (0, 1, 7, 100):
-            assert binomial(n, 0) == 1
-
-    def test_k_beyond_n_is_zero(self):
-        assert binomial(3, 4) == 0
-        assert binomial(0, 1) == 0
-
-    def test_against_pascal_oracle_exhaustive(self):
-        triangle = pascal_triangle(64)
-        for n in range(65):
-            for k in range(n + 1):
-                assert binomial(n, k) == triangle[n][k]
-
-    def test_pascal_identity(self):
-        for n in range(1, 65):
-            for k in range(1, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-    def test_frozen_midpoint_value(self):
-        # value computed by the Pascal oracle above
-        assert binomial(30, 15) == 155117520
-
-    def test_matches_stdlib_comb(self):
-        for n in range(0, 120, 7):
-            for k in range(0, n + 1, 3):
-                assert binomial(n, k) == math.comb(n, k)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
+from binomax.exact import check_natural, factorial, format_rational, parse_rational
 
 
 class TestFactorial:
@@ -79,24 +22,6 @@ class TestFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             factorial(-1)
-
-
-class TestRisingProduct:
-    def test_hand_cases(self):
-        assert rising_product(Fraction(1), 3) == 24  # 2*3*4
-        assert rising_product(Fraction(7, 3), 0) == 1  # empty product
-        assert rising_product(Fraction(1, 2), 2) == Fraction(15, 4)  # (3/2)(5/2)
-
-    def test_telescoping(self):
-        for s in (Fraction(1, 7), Fraction(3), Fraction(-9, 2)):
-            for n in range(12):
-                assert rising_product(s, n + 1) == rising_product(s, n) * (s + n + 1)
-
-    def test_zero_factor(self):
-        with pytest.raises(ZeroFactor):
-            rising_product(Fraction(-2), 3)
-        # pole only hit when n reaches it
-        assert rising_product(Fraction(-5), 3) == (-4) * (-3) * (-2)
 
 
 rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)
@@ -156,3 +81,7 @@ def test_check_natural():
     for bad in (-1, 1.0, True, "3"):
         with pytest.raises(ValueError):
             check_natural(bad)
+    assert check_natural(1, "m", 1) == 1
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match=f"m must be a positive integer, got {bad!r}"):
+            check_natural(bad, "m", 1)

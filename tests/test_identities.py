@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from binomax.errors import (
     NRequired,
     UnknownIdentity,
 )
-from binomax.exact import factorial, rising_product
+from binomax.exact import factorial
 from binomax.identities import (
     DEFAULT_S_GRID,
     IdentityId,
@@ -59,7 +60,8 @@ class TestBasicIdentity:
     def test_beta_form_equivalence(self):
         for s in SMALL_S:
             for n in range(25):
-                assert eval_basic_rhs(s, n) == Fraction(factorial(n)) / rising_product(s, n)
+                rising = math.prod((s + k for k in range(1, n + 1)), start=Fraction(1))
+                assert eval_basic_rhs(s, n) == Fraction(factorial(n)) / rising
 
     def test_positive_s_required(self):
         for bad in (Fraction(0), Fraction(-3, 2)):
@@ -158,6 +160,12 @@ class TestTailProbability:
         # (m, s, n) are validated in argument order
         with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
             route(0, Fraction(-1), -1)
+
+    @pytest.mark.parametrize("route", [tail_prob_via_derivatives, tail_prob_via_conditioning, tail_prob_exact])
+    def test_bool_shape_rejected(self, route):
+        # bool subclasses int, but True is not a shape
+        with pytest.raises(ValueError, match="m must be a positive integer, got True"):
+            route(True, ONE, 2)
 
 
 class TestSquaredIdentity:
@@ -282,6 +290,12 @@ class TestVerifyAndSweep:
         with pytest.raises(ValueError):
             IdentityParams(s=ONE, n=-1)
 
+    def test_params_reject_bool(self):
+        with pytest.raises(ValueError, match="m must be a positive integer, got True"):
+            IdentityParams(s=ONE, n=2, m=True)
+        with pytest.raises(ValueError, match="n must be a non-negative integer, got False"):
+            IdentityParams(s=ONE, n=False)
+
     def test_default_n_values(self):
         assert default_n_values(IdentityId.BASIC)[0] == 0
         assert default_n_values(IdentityId.GENERAL_M)[0] == 1
@@ -385,3 +399,9 @@ def test_far_beyond_float_reach():
     value = eval_basic_lhs(s, 200)
     assert value == eval_basic_rhs(s, 200)
     assert 0 < value < Fraction(1, 10**40)
+
+
+def test_signed_binomials_match_math_comb():
+    for n in range(61):
+        expected = [(k, (-1) ** k * math.comb(n, k)) for k in range(n + 1)]
+        assert list(identities._signed_binomials(n)) == expected

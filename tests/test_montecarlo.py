@@ -13,7 +13,6 @@ from binomax.montecarlo import (
     RngConfig,
     empirical_laplace,
     estimate_tail_prob,
-    exp_inverse_cdf,
     exp_sample,
     ks_two_sample,
     sample_gamma_integer,
@@ -26,21 +25,12 @@ from binomax.montecarlo import (
 # these seeds, and the generator contract guarantees it keeps passing.
 
 
-def test_inverse_cdf_identity():
-    assert abs(exp_inverse_cdf(math.exp(-2.0), 1.0) - 2.0) < 1e-12
-    assert abs(exp_inverse_cdf(math.exp(-6.0), 3.0) - 2.0) < 1e-12
-
-
 class TestUniformOpen:
     def test_strictly_inside_unit_interval(self):
         rng = RngConfig(123).generator()
         u = uniform_open(rng, 1_000_000)
         assert u.min() > 0.0
         assert u.max() < 1.0
-
-    def test_scalar_draw(self):
-        u = uniform_open(RngConfig(5).generator())
-        assert isinstance(u, float) and 0.0 < u < 1.0
 
     def test_determinism_bitwise(self):
         a = uniform_open(RngConfig(9, 3).generator(), 1000)
@@ -62,11 +52,13 @@ class TestSamplers:
 
     def test_exp_sample_rate_validation(self):
         with pytest.raises(ValueError):
-            exp_sample(0.0, RngConfig(1).generator())
+            exp_sample(0.0, RngConfig(1).generator(), size=1)
 
     def test_max_exp_requires_n(self):
         with pytest.raises(NRequired):
-            sample_max_exp(0, RngConfig(1).generator())
+            sample_max_exp(0, RngConfig(1).generator(), size=1)
+        with pytest.raises(NRequired, match="n must be >= 1, got True"):
+            sample_max_exp(True, RngConfig(1).generator(), size=3)
 
     def test_max_exp_mean(self):
         # E max of n unit exponentials = H_n (harmonic number)
@@ -98,7 +90,7 @@ class TestSamplers:
 
     def test_sum_exp_requires_n(self):
         with pytest.raises(NRequired):
-            sample_sum_exp(0, RngConfig(1).generator())
+            sample_sum_exp(0, RngConfig(1).generator(), size=1)
 
     def test_gamma_is_exp_for_shape_one(self):
         a = sample_gamma_integer(1, 2.0, RngConfig(3, 8).generator(), size=50_000)
@@ -123,9 +115,11 @@ class TestSamplers:
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            sample_gamma_integer(0, 1.0, RngConfig(1).generator())
+            sample_gamma_integer(0, 1.0, RngConfig(1).generator(), size=1)
+        with pytest.raises(ValueError, match="m must be a positive integer, got True"):
+            sample_gamma_integer(True, 1.0, RngConfig(1).generator(), size=1)
         with pytest.raises(ValueError):
-            sample_gamma_integer(1, -1.0, RngConfig(1).generator())
+            sample_gamma_integer(1, -1.0, RngConfig(1).generator(), size=1)
 
 
 class TestEstimators:
@@ -144,6 +138,15 @@ class TestEstimators:
         est = estimate_tail_prob(1, 1000, 1, 100_000, RngConfig(31))
         assert est.exact_reference == Fraction(1, 1001)
         assert est.within_sigma(4)
+
+    def test_tail_estimate_without_hits_gates_on_reference(self):
+        # no rate-1e6 exponential of 1e5 exceeds its max, so std_error is 0;
+        # the gate then uses the reference's own sigma, not gap == 0
+        est = estimate_tail_prob(1, 1000000, 1, 100_000, RngConfig(0))
+        assert (est.estimate, est.std_error) == (0.0, 0.0)
+        assert est.exact_reference == Fraction(1, 1000001)
+        assert est.within_sigma(4)
+        assert not MonteCarloEstimate(0.001, 0.0, 100_000, Fraction(1, 1000001)).within_sigma(4)
 
     def test_tail_float_rate_has_no_reference(self):
         est = estimate_tail_prob(1, 1.5, 1, 10_000, RngConfig(1))
