@@ -53,6 +53,8 @@ EXIT_FAILURE = 2
 SEED_ENV_VAR = "BINOMAX_SEED"
 KS_ALPHA = 0.01
 SIGMA_GATE = 4.0
+#: Most values an --n or --m list may expand to; counted before expanding.
+MAX_GRID_VALUES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,19 +126,20 @@ def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
     """Accept 'N', 'A..B' (inclusive), or a comma list of integers.
 
     An empty result (say '5..1') is an error: a grid with no points
-    would pass every check without checking anything.
+    would pass every check without checking anything.  So is one of more
+    than MAX_GRID_VALUES values, which is counted before it is built.
     """
-    out: list[int] = []
+    spans: list[tuple[int, int]] = []
     try:
         for part in text.split(","):
-            part = part.strip()
-            if ".." in part:
-                lo, hi = part.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo, dots, hi = part.strip().partition("..")
+            spans.append((int(lo), int(hi) if dots else int(lo)))
     except ValueError:
         raise ValueError(f"cannot parse {name} list {text!r}") from None
+    count = sum(max(0, hi - lo + 1) for lo, hi in spans)
+    if count > MAX_GRID_VALUES:
+        raise ValueError(f"{name} list {text!r} has {count} values, more than {MAX_GRID_VALUES}")
+    out = [v for lo, hi in spans for v in range(lo, hi + 1)]
     if not out:
         raise ValueError(f"{name} list {text!r} is empty")
     for v in out:
@@ -200,8 +203,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_quadrature(args) -> int:
     tol = args.tol
-    if not tol >= TOLERANCE_FLOOR:
-        raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g}, got {tol:g}")
+    # A row passes when each route is within 10*tol of the exact value in
+    # (0, 1]; from 10*tol >= 1 on, that gate would pass any value in [0, 1].
+    if not (tol >= TOLERANCE_FLOOR and 10 * tol < 1):
+        raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g} and < 0.1, got {tol:g}")
     s_values = [_parse_finite(tok) for tok in args.s.split(",")]
     if any(s <= 0 for s in s_values):
         raise NonPositiveS("--s values must be > 0")

@@ -23,6 +23,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -117,13 +120,27 @@ def _signed_binomials(n: int) -> Iterable[tuple[int, int]]:
         yield k, -c if k & 1 else c
 
 
+def _alternating(n: int, terms: Iterable[Rational]) -> Fraction:
+    """sum_{k=0..n} (-1)^k C(n,k) terms[k], exactly.
+
+    One integer numerator is kept over the running lcm of the term
+    denominators, which costs one gcd per term; the sum is normalised
+    into a Fraction once, at the end.  ``terms`` must hold exactly n + 1
+    values: a shorter or longer sequence raises ValueError.
+    """
+    num, den = 0, 1
+    for (_, c), term in zip(_signed_binomials(n), terms, strict=True):
+        q = term.denominator
+        g = gcd(den, q)
+        num = num * (q // g) + c * term.numerator * (den // g)
+        den *= q // g
+    return Fraction(num, den)
+
+
 def eval_basic_lhs(s: Rational, n: int) -> Rational:
     """Alternating sum  sum_{k=0..n} (-1)^k C(n,k) s/(s+k);  1 for n = 0."""
     s = _check(s, n)
-    total = Fraction(0)
-    for k, c in _signed_binomials(n):
-        total += c * s / (s + k)
-    return total
+    return _alternating(n, (s / (s + k) for k in range(n + 1)))
 
 
 def eval_basic_rhs(s: Rational, n: int) -> Rational:
@@ -181,23 +198,13 @@ def _derivative_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Ratio
 
 
 def _conditioning_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Rational]:
-    """Conditioning-route tail probability for every m in ms, in one pass:
+    """Conditioning-route tail probability for every m in ms:
 
-    sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m, climbing the powers of each
-    ratio once through the requested m in ascending order.  A step of
-    one is a multiplication; a gap is jumped with one power, so a single
-    m costs no more than (s/(s+k))^m itself.
+    sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m, one alternating sum per
+    distinct m over the ratios s/(s+k), which are computed once.
     """
-    totals = dict.fromkeys(sorted(set(ms)), Fraction(0))
-    for k, c in _signed_binomials(n):
-        ratio = s / (s + k)
-        term, climbed = Fraction(c), 0
-        for m in totals:
-            step = m - climbed
-            term *= ratio if step == 1 else ratio ** step
-            climbed = m
-            totals[m] += term
-    return totals
+    ratios = [s / (s + k) for k in range(n + 1)]
+    return {m: _alternating(n, (r ** m for r in ratios)) for m in set(ms)}
 
 
 def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
@@ -256,9 +263,7 @@ def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
     s = _check(s, n)
-    lhs = Fraction(0)
-    for k, c in _signed_binomials(n):
-        lhs += c * (s / (s + k)) ** 2
+    lhs = _alternating(n, ((s / (s + k)) ** 2 for k in range(n + 1)))
     rhs = eval_basic_rhs(s, n) * sum((s / (s + j) for j in range(n + 1)), Fraction(0))
     return lhs, rhs
 
@@ -279,23 +284,22 @@ def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
 def _general_m_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
     """Both sides of the general-m identity at (s, n) for every m in ms.
 
-    One pass over j accumulates the geometric partial sums
-    sum_{i=1..m} (s/(s+j+1))^i for all m at once.
+    The geometric partial sums  g_j(m) = sum_{i=1..m} (s/(s+j+1))^i  are
+    built once per j; each m's right side is one alternating sum of them.
     """
     lhs = _conditioning_tails(s, n, ms)
-    inner = dict.fromkeys(ms, Fraction(0))
     top = max(ms)
-    for j, c in _signed_binomials(n - 1):
-        ratio = s / (s + j + 1)
-        power = Fraction(1)
-        geometric = Fraction(0)
-        for m in range(1, top + 1):
-            power *= ratio
-            geometric += power
-            if m in inner:
-                inner[m] += c * geometric
+    ratios = (s / (s + j + 1) for j in range(n))
+    partials = [list(accumulate(r ** i for i in range(1, top + 1))) for r in ratios]
     scale = Fraction(n) / s
-    return [(lhs[m], scale * inner[m]) for m in ms]
+    rhs = {m: scale * _alternating(n - 1, (g[m - 1] for g in partials)) for m in set(ms)}
+    return [(lhs[m], rhs[m]) for m in ms]
+
+
+def _running_products(s: Fraction, n: int) -> Iterable[Fraction]:
+    """prod_{j=1..k} j/(s+j) for k = 0..n, the empty k = 0 product being 1."""
+    factors = (Fraction(j) / (s + j) for j in range(1, n + 1))
+    return accumulate(factors, mul, initial=Fraction(1))
 
 
 def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -307,12 +311,7 @@ def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
     with the k = 0 product empty, hence 1.
     """
     s = _check(s, n)
-    lhs = Fraction(0)
-    product = Fraction(1)
-    for k, c in _signed_binomials(n):
-        if k:
-            product *= Fraction(k) / (s + k)
-        lhs += c * product
+    lhs = _alternating(n, _running_products(s, n))
     return lhs, s / (s + n)
 
 
@@ -323,14 +322,8 @@ def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
     rhs = (s/(s+n))^2
     """
     s = _check(s, n)
-    lhs = Fraction(0)
-    product = Fraction(1)
-    partial = Fraction(1)  # sum_{i=0..k} s/(s+i), seeded with the i = 0 term
-    for k, c in _signed_binomials(n):
-        if k:
-            product *= Fraction(k) / (s + k)
-            partial += s / (s + k)
-        lhs += c * product * partial
+    partial_sums = accumulate(s / (s + i) for i in range(n + 1))
+    lhs = _alternating(n, map(mul, _running_products(s, n), partial_sums))
     return lhs, (s / (s + n)) ** 2
 
 
@@ -346,9 +339,7 @@ def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     s = _check(s, n)
     log_sum = sum((Fraction(1) / (s + j) for j in range(1, n + 1)), Fraction(0))
     lhs = eval_basic_rhs(s, n) * log_sum
-    rhs = Fraction(0)
-    for k, c in _signed_binomials(n):
-        rhs -= c * k / (s + k) ** 2
+    rhs = -_alternating(n, (k / (s + k) ** 2 for k in range(n + 1)))
     return lhs, rhs
 
 
@@ -360,13 +351,7 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
     items = [Fraction(v) for v in values]
     if not items:
         raise EmptySequence("binomial inversion needs at least one term")
-    out: list[Fraction] = []
-    for n in range(len(items)):
-        total = Fraction(0)
-        for k, c in _signed_binomials(n):
-            total += c * items[k]
-        out.append(total)
-    return out
+    return [_alternating(n, items[: n + 1]) for n in range(len(items))]
 
 
 # A row evaluator maps a checked (s, n) and shapes ms to one (lhs, rhs)

@@ -40,7 +40,7 @@ class RngConfig:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < 2**64:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:

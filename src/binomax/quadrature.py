@@ -22,7 +22,9 @@ from .errors import NonPositiveS, NRequired, ToleranceNotMet
 from .exact import check_natural
 
 #: Tolerances below this are rejected: the error estimator itself works in
-#: float64 and cannot certify anything tighter.
+#: float64 and cannot certify anything tighter.  Tolerances of 1 or more
+#: (and non-finite ones) are rejected too: an absolute error of 1 says
+#: nothing about a transform value in (0, 1].
 TOLERANCE_FLOOR = 1e-13
 
 _MAX_DEPTH = 60
@@ -107,8 +109,8 @@ def adaptive_simpson(
 
 
 def _check_route_args(s: float, n: int, tol: float, density: bool) -> tuple[float, float]:
-    """Check s > 0, then n >= 0 (>= 1 for the density route), then tol;
-    return s and tol as floats."""
+    """Check s > 0, then n >= 0 (>= 1 for the density route), then
+    TOLERANCE_FLOOR <= tol < 1; return s and tol as floats."""
     s = float(s)
     if s <= 0:
         raise NonPositiveS(f"s must be > 0, got {s!r}")
@@ -116,8 +118,8 @@ def _check_route_args(s: float, n: int, tol: float, density: bool) -> tuple[floa
     if density and n == 0:
         raise NRequired("the density route requires n >= 1")
     tol = float(tol)
-    if not tol >= TOLERANCE_FLOOR:
-        raise ValueError(f"tol must be >= {TOLERANCE_FLOOR:g}, got {tol:g}")
+    if not TOLERANCE_FLOOR <= tol < 1:
+        raise ValueError(f"tol must be in [{TOLERANCE_FLOOR:g}, 1), got {tol:g}")
     return s, tol
 
 

@@ -6,7 +6,15 @@ import json
 import pytest
 
 from binomax import identities
-from binomax.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, SEED_ENV_VAR, main
+from binomax.cli import (
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_GRID_VALUES,
+    SEED_ENV_VAR,
+    _parse_int_list,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +91,14 @@ class TestQuadratureCommand:
         code, _, err = run_cli(capsys, "quadrature", "--tol", "1e-20")
         assert code == EXIT_USAGE
         assert "tol" in err
+
+    @pytest.mark.parametrize("tol", ["1e300", "10", "inf", "0.1"])
+    def test_meaningless_tolerance_rejected(self, capsys, tol):
+        # from 10*tol >= 1 on, the 10*tol gate passes any value in [0, 1]
+        code, out, err = run_cli(capsys, "quadrature", "--s", "1", "--n", "2", "--tol", tol)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--tol must be" in err
 
     def test_nonpositive_s(self, capsys):
         code, _, _ = run_cli(capsys, "quadrature", "--s", "-1", "--n", "1")
@@ -229,3 +245,21 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert "empty" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--identity", "basic", "--n", "0..1000000000000"),
+        ("verify", "--identity", "general_m", "--n", "1", "--m", "1..1000000000000"),
+        ("quadrature", "--s", "1", "--n", "0..1000000000000"),
+        ("simulate", "--suite", "lemma1", "--n", "0..1000000000000"),
+    ], ids=["verify", "verify-m", "quadrature", "simulate"])
+    def test_huge_grid_is_usage_error(self, capsys, argv):
+        # counted before it is expanded, so this returns at once
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"more than {MAX_GRID_VALUES}" in err
+
+    def test_grid_limit_is_inclusive(self):
+        assert len(_parse_int_list(f"1..{MAX_GRID_VALUES}", "n")) == MAX_GRID_VALUES
+        with pytest.raises(ValueError, match="more than"):
+            _parse_int_list(f"0..{MAX_GRID_VALUES - 1},0", "n")

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binomax import identities
 from binomax.errors import (
@@ -399,6 +399,39 @@ def test_far_beyond_float_reach():
     value = eval_basic_lhs(s, 200)
     assert value == eval_basic_rhs(s, 200)
     assert 0 < value < Fraction(1, 10**40)
+
+
+# Terms for the alternating-sum kernel: integers, small fractions of
+# either sign, and fractions whose denominators exceed 2^200.
+_TERMS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    st.builds(Fraction, st.integers(-2**300, 2**300), st.integers(2**200 + 1, 2**260)),
+)
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_TERMS, min_size=n + 1, max_size=n + 1))))
+@example((0, [Fraction(-3, 7)]))
+@example((5, [Fraction(2, 3)] * 6))
+@example((3, [-1, -2, 5, -7]))
+@example((2, [Fraction(1, 2**201 + 1), Fraction(-3, 2**250 - 1), Fraction(5, 3**130)]))
+def test_alternating_matches_fraction_sum(case):
+    n, terms = case
+    expected = sum(c * t for (k, c), t in zip(identities._signed_binomials(n), terms))
+    result = identities._alternating(n, terms)
+    assert type(result) is Fraction
+    assert result == expected
+
+
+@given(st.integers(1, 40), _TERMS)
+def test_alternating_cancels_constant_terms(n, term):
+    assert identities._alternating(n, [term] * (n + 1)) == 0
+
+
+def test_alternating_rejects_a_short_term_sequence():
+    with pytest.raises(ValueError):
+        identities._alternating(3, [ONE] * 3)
 
 
 def test_signed_binomials_match_math_comb():

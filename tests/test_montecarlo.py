@@ -239,6 +239,10 @@ class TestRngConfig:
             RngConfig(-1)
         with pytest.raises(ValueError):
             RngConfig(0, 2**64)
+        with pytest.raises(ValueError, match="master_seed must be a 64-bit unsigned integer, got True"):
+            RngConfig(True)
+        with pytest.raises(ValueError, match="stream_id must be a 64-bit unsigned integer, got False"):
+            RngConfig(0, False)
 
     def test_dataclass_shapes(self):
         est = MonteCarloEstimate(0.5, 0.01, 100)

@@ -62,6 +62,13 @@ class TestCdfRoute:
             laplace_via_cdf_quadrature(1.0, 1, 1e-14)
         assert TOLERANCE_FLOOR == 1e-13
 
+    @pytest.mark.parametrize("tol", [1.0, 10.0, 1e300, math.inf, math.nan])
+    def test_tolerance_of_one_or_more_rejected(self, tol):
+        # at tol >= 2 the cutoff ln(2/tol)/s would be <= 0
+        for route in (laplace_via_cdf_quadrature, laplace_via_density_quadrature):
+            with pytest.raises(ValueError, match="tol must be in"):
+                route(1.0, 2, tol)
+
 
 class TestDensityRoute:
     @pytest.mark.parametrize("s,n,expected", [
