@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -36,16 +37,18 @@ def parse_rational(text: str) -> Fraction:
             f"not an exact rational literal: {text!r} (use 'p/q' or an integer)"
         )
     num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    # decimal converts integers of any size; int(str) stops at 4300 digits.
+    num, den = int(Decimal(num)), int(Decimal(den or "1"))
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Rational canonically: ``"-3/7"``, or ``"5"`` when integral."""
-    return str(Fraction(value))
+    # decimal renders integers of any size; str(int) stops at 4300 digits.
+    num, den = (str(Decimal(part)) for part in Fraction(value).as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
 
 
 def check_natural(value: int, name: str = "n", minimum: int = 0) -> int:

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import factorial, gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -144,12 +144,13 @@ def eval_basic_lhs(s: Rational, n: int) -> Rational:
 
 
 def eval_basic_rhs(s: Rational, n: int) -> Rational:
-    """Product form  prod_{k=1..n} k/(s+k)  =  n!/((s+1)...(s+n));  1 for n = 0."""
+    """Product form  prod_{k=1..n} k/(s+k)  =  n!/((s+1)...(s+n));  1 for n = 0.
+
+    For s = p/q that is the integer ratio  n! q^n / prod_{k=1..n} (p+kq).
+    """
     s = _check(s, n)
-    result = Fraction(1)
-    for k in range(1, n + 1):
-        result *= Fraction(k) / (s + k)
-    return result
+    p, q = s.numerator, s.denominator
+    return Fraction(factorial(n) * q ** n, prod(range(p + q, p + n * q + 1, q)))
 
 
 def eval_f_jet(s: Rational, n: int, order: int) -> Jet:
@@ -186,14 +187,7 @@ def _derivative_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Ratio
     sums over the coefficients of one jet of f of order max(ms) - 1.
     """
     jet = eval_f_jet(s, n, max(ms) - 1)
-    prefix = []
-    total = Fraction(0)
-    s_pow = Fraction(1)
-    for k, coeff in enumerate(jet.coeffs):
-        term = s_pow * coeff
-        total = total - term if k & 1 else total + term
-        prefix.append(total)
-        s_pow *= s
+    prefix = list(accumulate((-s) ** k * coeff for k, coeff in enumerate(jet.coeffs)))
     return {m: prefix[m - 1] for m in ms}
 
 
@@ -413,14 +407,13 @@ def sweep(
     identity's domain, then the remaining points.
     """
     chosen = list(identities) if identities is not None else list(IdentityId)
+    # Grids are read once: a generator would be used up by the first identity.
+    n_grid = list(n_values) if n_values is not None else None
+    m_grid = list(m_values) if m_values is not None else list(range(1, DEFAULT_M_MAX + 1))
     reports: list[VerificationReport] = []
     for identity in chosen:
-        ns = list(n_values) if n_values is not None else list(default_n_values(identity))
-        ms = (
-            list(m_values)
-            if (m_values is not None and identity in USES_M)
-            else (list(range(1, DEFAULT_M_MAX + 1)) if identity in USES_M else [1])
-        )
+        ns = n_grid if n_grid is not None else list(default_n_values(identity))
+        ms = m_grid if identity in USES_M else [1]
         if not ms or not s_grid:
             continue
         for n in ns:

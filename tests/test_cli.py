@@ -71,6 +71,16 @@ class TestVerifyCommand:
         assert report["rows"][0]["equal"] is False
 
 
+    def test_rational_beyond_the_int_str_digit_limit(self, capsys):
+        # this row's numerator has 4709 digits
+        code, report, _ = run_json(
+            capsys, "verify", "--identity", "general_m", "--s", "997/541", "--n", "200", "--m", "8")
+        assert code == EXIT_OK
+        (row,) = report["rows"]
+        assert row["equal"] is True
+        assert len(row["lhs"].partition("/")[0]) > 4300
+
+
 class TestQuadratureCommand:
     def test_single_point(self, capsys):
         code, report, _ = run_json(capsys, "quadrature", "--s", "1", "--n", "2")
@@ -86,6 +96,17 @@ class TestQuadratureCommand:
         (row,) = report["rows"]
         assert row["density_value"] is None
         assert row["pass"] is True
+
+    def test_failing_route_keeps_the_other_routes_columns(self, capsys):
+        # the distribution-function route cannot meet tol here; the density
+        # integrand is ~1 on [0, 1] and its route succeeds
+        code, report, _ = run_json(capsys, "quadrature", "--s", "1e-300", "--n", "1")
+        assert code == EXIT_FAILURE
+        (row,) = report["rows"]
+        assert abs(float(row["density_value"]) - 1) <= 1e-9
+        assert row["cdf_value"] is row["cdf_abs_error"] is row["cdf_evaluations"] is None
+        assert row["note"].startswith("cdf: ")
+        assert row["pass"] is False
 
     def test_tolerance_floor(self, capsys):
         code, _, err = run_cli(capsys, "quadrature", "--tol", "1e-20")
@@ -208,6 +229,15 @@ class TestFormats:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(path.read_text())["rows"]
+
+
+    def test_unwritable_output_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", "basic", "--s", "2", "--n", "3", "--output", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("binomax: error: ")
 
 
 class TestUsage:

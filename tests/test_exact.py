@@ -66,6 +66,13 @@ class TestStringRoundTrip:
     def test_round_trip_lossless(self, a):
         assert parse_rational(format_rational(a)) == a
 
+    def test_round_trip_beyond_the_int_str_digit_limit(self):
+        # str(int) and int(str) refuse more than 4300 digits by default
+        a = Fraction(-(10**10_000 + 7), 3**20_960 + 2)
+        text = format_rational(a)
+        assert len(text) > 20_000
+        assert parse_rational(text) == a
+
     def test_non_canonical_input_parses_to_canonical(self):
         assert format_rational(parse_rational("4/6")) == "2/3"
 

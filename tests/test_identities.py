@@ -63,6 +63,19 @@ class TestBasicIdentity:
                 rising = math.prod((s + k for k in range(1, n + 1)), start=Fraction(1))
                 assert eval_basic_rhs(s, n) == Fraction(factorial(n)) / rising
 
+    @given(st.integers(0, 60), st.one_of(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+        st.builds(Fraction, st.integers(1, 2**300), st.integers(2**200 + 1, 2**260)),
+        st.builds(Fraction, st.integers(2**200 + 1, 2**260), st.integers(1, 2**300)),
+    ))
+    @example(0, Fraction(3, 7))
+    @example(60, Fraction(2**201 + 1, 2**250 - 1))
+    def test_rhs_matches_fraction_product(self, n, s):
+        expected = math.prod((Fraction(k) / (s + k) for k in range(1, n + 1)), start=Fraction(1))
+        result = eval_basic_rhs(s, n)
+        assert type(result) is Fraction
+        assert result == expected
+
     def test_positive_s_required(self):
         for bad in (Fraction(0), Fraction(-3, 2)):
             with pytest.raises(NonPositiveS):
@@ -378,6 +391,15 @@ class TestVerifyAndSweep:
             sweep([IdentityId.TAIL_DERIVATIVE_FORM], [ONE, Fraction(2)], [1], [1, 0])
         with pytest.raises(NRequired):
             sweep([IdentityId.BASIC, IdentityId.GENERAL_M], [ONE], [0, 1], [1])
+
+    @pytest.mark.parametrize("grid", ["n_values", "m_values"])
+    def test_sweep_reads_a_generator_grid_once_for_all_identities(self, grid):
+        chosen = [IdentityId.BASIC, IdentityId.GENERAL_M, IdentityId.TAIL_DERIVATIVE_FORM]
+        grids = {"n_values": [1, 2], "m_values": [1, 3]}
+        expected = sweep(chosen, [ONE, Fraction(1, 2)], **grids)
+        grids[grid] = (v for v in grids[grid])
+        assert sweep(chosen, [ONE, Fraction(1, 2)], **grids) == expected
+        assert len(expected) == 2 * 2 + 2 * (2 * 2 * 2)
 
     def test_sweep_defaults_cover_every_identity(self):
         reports = sweep(s_grid=[ONE], n_values=[1, 2], m_values=[1, 2])
