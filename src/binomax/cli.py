@@ -64,9 +64,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _manifest(command: str, parameters: dict, seed: int | None = None,
-              deterministic: bool = False) -> dict:
-    stamp = None if deterministic else datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
+    # A seeded report is a pure function of its parameters: no timestamp.
+    stamp = None if seed is not None else datetime.now(timezone.utc).isoformat(timespec="seconds")
     return {"command": command, "parameters": parameters, "seed": seed,
             "tool_version": __version__, "timestamp": stamp}
 
@@ -102,14 +102,6 @@ def _render(head: dict, rows: list[dict], fmt: str) -> str:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
@@ -160,7 +152,7 @@ def _resolve_seed(seed_arg: int | None) -> int:
     return int(os.environ.get(SEED_ENV_VAR, 0))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, list[dict], bool]:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
     s_grid = [parse_rational(tok) for tok in args.s.split(",")] if args.s else list(DEFAULT_S_GRID)
     explicit_n = _parse_int_list(args.n, "n") if args.n else None
@@ -179,7 +171,6 @@ def _cmd_verify(args) -> int:
         }
         for r in reports
     ]
-    all_equal = all(r.equal for r in reports)
     manifest = _manifest("verify", {
         "identity": args.identity,
         "s": ",".join(format_rational(s) for s in s_grid),
@@ -187,11 +178,10 @@ def _cmd_verify(args) -> int:
         "m": args.m or "default",
         "format": args.format,
     })
-    _emit(_render(manifest, rows, args.format), args.output)
-    return EXIT_OK if all_equal else EXIT_FAILURE
+    return manifest, rows, all(r.equal for r in reports)
 
 
-def _cmd_quadrature(args) -> int:
+def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
     tol = args.tol
     # A row passes when each route is within 10*tol of the exact value in
     # (0, 1]; from 10*tol >= 1 on, that gate would pass any value in [0, 1].
@@ -203,7 +193,6 @@ def _cmd_quadrature(args) -> int:
     n_values = _parse_int_list(args.n, "n")
 
     rows = []
-    all_pass = True
     for n in sorted(set(n_values)):
         for s in sorted(set(s_values)):
             exact = float(eval_basic_rhs(Fraction(s), n))
@@ -216,7 +205,8 @@ def _cmd_quadrature(args) -> int:
             routes = [("cdf", laplace_via_cdf_quadrature)]
             if n >= 1:  # the density of the max exists only for n >= 1
                 routes.append(("density", laplace_via_density_quadrature))
-            ok, notes = True, []
+            ok = exact != 0  # 0 is a positive value below the float64 range
+            notes = [] if ok else ["exact: below the float64 range, not checked"]
             for name, route in routes:  # one route's failure keeps the other's columns
                 try:
                     result = route(s, n, tol)
@@ -230,16 +220,14 @@ def _cmd_quadrature(args) -> int:
                 row[f"{name}_evaluations"] = result.evaluations
                 ok = ok and error <= 10 * tol
             row["pass"], row["note"] = ok, "; ".join(notes)
-            all_pass &= row["pass"]
             rows.append(row)
     manifest = _manifest("quadrature", {
         "s": args.s, "n": args.n, "tol": format(tol, ".17g"), "format": args.format,
     })
-    _emit(_render(manifest, rows, args.format), args.output)
-    return EXIT_OK if all_pass else EXIT_FAILURE
+    return manifest, rows, all(row["pass"] for row in rows)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
     seed = _resolve_seed(args.seed)
     samples = args.samples
     if samples < MIN_SAMPLES:
@@ -249,19 +237,16 @@ def _cmd_simulate(args) -> int:
     n_values = sorted(set(_parse_int_list(args.n, "n", minimum=1))) if args.n else None
 
     rows = []
-    all_pass = True
     if args.suite == "lemma1":
         for idx, n in enumerate(n_values or [1, 2, 5, 10]):
             xs = sample_max_exp(n, RngConfig(seed, 2 * idx).generator(), size=samples)
             ys = sample_sum_exp(n, RngConfig(seed, 2 * idx + 1).generator(), size=samples)
             ks = ks_two_sample(xs, ys)
-            ok = ks.p_value > KS_ALPHA
-            all_pass &= ok
             rows.append({
                 "suite": "lemma1", "n": n, "samples": samples, "seed": seed,
                 "streams": f"{2 * idx},{2 * idx + 1}",
                 "ks_statistic": ks.statistic, "p_value": ks.p_value,
-                "alpha": KS_ALPHA, "pass": ok,
+                "alpha": KS_ALPHA, "pass": ks.p_value > KS_ALPHA,
             })
     else:  # tail or laplace: one estimate per n against its exact reference
         tail = args.suite == "tail"
@@ -270,13 +255,12 @@ def _cmd_simulate(args) -> int:
                 est = estimate_tail_prob(args.m, s, n, samples, RngConfig(seed, idx))
             else:
                 est = empirical_laplace(s, n, samples, RngConfig(seed, idx))
-            ok = est.within_sigma(SIGMA_GATE)
-            all_pass &= ok
             rows.append({
                 "suite": args.suite, **({"m": args.m} if tail else {}), "s": s, "n": n,
                 "samples": samples, "seed": seed, "stream": idx,
                 "estimate": est.estimate, "std_error": est.std_error,
-                "exact": est.exact_reference, "sigma_gate": SIGMA_GATE, "pass": ok,
+                "exact": est.exact_reference, "sigma_gate": SIGMA_GATE,
+                "pass": est.within_sigma(SIGMA_GATE),
             })
     manifest = _manifest("simulate", {
         "suite": args.suite,
@@ -285,9 +269,8 @@ def _cmd_simulate(args) -> int:
         "s": format_rational(s),
         "samples": str(samples),
         "format": args.format,
-    }, seed=seed, deterministic=True)
-    _emit(_render(manifest, rows, args.format), args.output)
-    return EXIT_OK if all_pass else EXIT_FAILURE
+    }, seed=seed)
+    return manifest, rows, all(row["pass"] for row in rows)
 
 
 def _build_parser() -> _Parser:
@@ -337,11 +320,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
+    try:  # each command returns (manifest, rows, ok); only main writes reports
+        manifest, rows, ok = args.func(args)
+        text = _render(manifest, rows, args.format)
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:  # input errors subclass ValueError; OSError: --output
         print(f"binomax: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -138,9 +138,8 @@ def _alternating(n: int, terms: Iterable[Rational]) -> Fraction:
 
 
 def eval_basic_lhs(s: Rational, n: int) -> Rational:
-    """Alternating sum  sum_{k=0..n} (-1)^k C(n,k) s/(s+k);  1 for n = 0."""
-    s = _check(s, n)
-    return _alternating(n, (s / (s + k) for k in range(n + 1)))
+    """Alternating sum  sum_{k=0..n} (-1)^k C(n,k) s/(s+k), the m = 1 conditioning tail."""
+    return _conditioning_tails(_check(s, n), n, [1])[1]
 
 
 def eval_basic_rhs(s: Rational, n: int) -> Rational:
@@ -257,7 +256,7 @@ def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
     s = _check(s, n)
-    lhs = _alternating(n, ((s / (s + k)) ** 2 for k in range(n + 1)))
+    lhs = _conditioning_tails(s, n, [2])[2]
     rhs = eval_basic_rhs(s, n) * sum((s / (s + j) for j in range(n + 1)), Fraction(0))
     return lhs, rhs
 
@@ -385,9 +384,9 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
 
 
-def default_n_values(identity: IdentityId, n_max: int = DEFAULT_N_MAX) -> range:
-    """Default n sweep: 0..n_max, except identities that need n >= 1."""
-    return range(1 if identity is IdentityId.GENERAL_M else 0, n_max + 1)
+def default_n_values(identity: IdentityId) -> range:
+    """Default n sweep: 0..DEFAULT_N_MAX, except identities that need n >= 1."""
+    return range(1 if identity is IdentityId.GENERAL_M else 0, DEFAULT_N_MAX + 1)
 
 
 def sweep(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZeroJet, MixedJets, OrderExceeded
-from .exact import Rational, factorial
+from .exact import Rational, check_natural, factorial
 
 _Scalar = (int, Fraction)
 
@@ -81,17 +81,10 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> Jet:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        point = self._merge_point(rhs)
-        return Jet(point, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs)))
+        return self + -other
 
     def __rsub__(self, other: object) -> Jet:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs.__sub__(self)
+        return -self + other
 
     def __neg__(self) -> Jet:
         return Jet(self.base_point, tuple(-a for a in self.coeffs))
@@ -142,8 +135,7 @@ class Jet:
 
 def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:
     """Jet of the constant function c: all derivative coefficients zero."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_natural(order, "order")
     c = Fraction(c)
     point = Fraction(at) if at is not None else None
     return Jet(point, (c,) + (Fraction(0),) * order)
@@ -151,8 +143,7 @@ def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:
 
 def jet_variable(s: Rational, order: int) -> Jet:
     """Jet of the identity function at s: value s, first derivative 1."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_natural(order, "order")
     s = Fraction(s)
     if order == 0:
         return Jet(s, (s,))

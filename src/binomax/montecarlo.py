@@ -104,11 +104,14 @@ class MonteCarloEstimate:
         """True when the estimate is within k standard errors of the exact value r.
 
         A zero ``std_error`` is replaced by sqrt(r(1-r)/samples), which bounds
-        the standard error of any [0, 1]-valued estimator of mean r.
+        the standard error of any [0, 1]-valued estimator of mean r.  A positive
+        r below the float64 range is never passed: it reads 0 as a float.
         """
         if self.exact_reference is None:
             raise ValueError("no exact reference attached to this estimate")
         exact = float(self.exact_reference)
+        if exact == 0 and self.exact_reference > 0:
+            return False
         sigma = (self.std_error if self.std_error > 0
                  else math.sqrt(exact * (1.0 - exact) / self.samples))
         return abs(self.estimate - exact) <= k * sigma

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from binomax import identities
+from binomax import cli, identities
 from binomax.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -108,6 +108,16 @@ class TestQuadratureCommand:
         assert row["note"].startswith("cdf: ")
         assert row["pass"] is False
 
+    def test_exact_value_below_float_range_fails(self, capsys):
+        # the exact value is about 6e-900: it reads 0 as a float, and so
+        # do both routes, which must not pass against it unchecked
+        code, report, _ = run_json(capsys, "quadrature", "--s", "1e300", "--n", "3")
+        assert code == EXIT_FAILURE
+        (row,) = report["rows"]
+        assert row["exact"] == "0"
+        assert row["note"] == "exact: below the float64 range, not checked"
+        assert row["pass"] is False
+
     def test_tolerance_floor(self, capsys):
         code, _, err = run_cli(capsys, "quadrature", "--tol", "1e-20")
         assert code == EXIT_USAGE
@@ -155,6 +165,25 @@ class TestSimulateCommand:
         rows = report["rows"]
         assert [r["n"] for r in rows] == [1, 2]
         assert rows[0]["exact"] == "1/2" and rows[1]["exact"] == "1/3"
+
+    def test_failing_gate_exits_two_with_its_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "KS_ALPHA", 1.0)  # no p-value exceeds 1
+        code, report, _ = run_json(
+            capsys, "simulate", "--suite", "lemma1", "--samples", "10000", "--seed", "1")
+        assert code == EXIT_FAILURE
+        assert [row["n"] for row in report["rows"]] == [1, 2, 5, 10]
+        assert not any(row["pass"] for row in report["rows"])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_reference_below_float_range_fails(self, capsys):
+        # the reference is about 2e-616; the estimate and its std_error are 0
+        code, report, _ = run_json(
+            capsys, "simulate", "--suite", "laplace", "--s", "1e308", "--n", "2",
+            "--samples", "10000", "--seed", "1")
+        assert code == EXIT_FAILURE
+        (row,) = report["rows"]
+        assert row["estimate"] == row["std_error"] == "0"
+        assert row["pass"] is False
 
     def test_insufficient_samples(self, capsys):
         code, _, err = run_cli(

@@ -31,6 +31,13 @@ class TestConstructors:
         assert jet_variable(Fraction(1, 3), 1).coeffs == (Fraction(1, 3), 1)
         assert jet_variable(2, 2).base_point == 2
 
+    @pytest.mark.parametrize("order", [True, 2.0, -1])
+    def test_order_must_be_a_natural_number(self, order):
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            jet_constant(1, order)
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            jet_variable(2, order)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Jet(None, ())
@@ -119,6 +126,60 @@ class TestProperties:
         if b.value == 0:
             return
         assert (a / b) * b == a
+
+
+@st.composite
+def same_order_jets(draw):
+    """Two jets of one order whose base points may be combined."""
+    size = draw(st.integers(1, 5))
+    coeffs = st.lists(small_rationals, min_size=size, max_size=size)
+    point = draw(small_rationals)
+    points = draw(st.sampled_from([(point, point), (point, None), (None, point), (None, None)]))
+    return Jet(points[0], tuple(draw(coeffs))), Jet(points[1], tuple(draw(coeffs)))
+
+
+scalars = st.integers(-100, 100) | small_rationals
+
+
+class TestSubtraction:
+    @given(same_order_jets())
+    def test_jet_minus_jet(self, pair):
+        a, b = pair
+        diff = a - b
+        assert diff.coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+        assert diff.base_point == (b.base_point if a.base_point is None else a.base_point)
+
+    @given(same_order_jets(), scalars)
+    def test_jet_minus_scalar(self, pair, c):
+        a, _ = pair
+        diff = a - c
+        assert diff.coeffs == (a.value - c,) + a.coeffs[1:]
+        assert diff.base_point == a.base_point
+
+    @given(same_order_jets(), scalars)
+    def test_scalar_minus_jet(self, pair, c):
+        a, _ = pair
+        diff = c - a
+        assert diff.coeffs == (c - a.value,) + tuple(-x for x in a.coeffs[1:])
+        assert diff.base_point == a.base_point
+
+    @given(same_order_jets(), st.integers(1, 5))
+    def test_mixed_orders_rejected(self, pair, extra):
+        a, _ = pair
+        b = jet_constant(1, a.order + extra)
+        with pytest.raises(MixedJets):
+            a - b
+        with pytest.raises(MixedJets):
+            b - a
+
+    def test_non_numbers_rejected(self):
+        x = jet_variable(1, 2)
+        with pytest.raises(TypeError):
+            x - "1"
+        with pytest.raises(TypeError):
+            "1" - x
+        with pytest.raises(TypeError):
+            x - 1.5
 
 
 class TestProductFormOracle:
