@@ -20,15 +20,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .errors import InsufficientSamples, NonPositiveS, ToleranceNotMet
-from .exact import format_rational, parse_rational
+from .errors import InsufficientSamples, ToleranceNotMet
+from .exact import check_natural, check_positive, format_rational, parse_rational
 from .identities import DEFAULT_S_GRID, IdentityId, eval_basic_rhs, sweep
 from .montecarlo import (
     MIN_SAMPLES,
@@ -130,20 +129,13 @@ def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
     return out
 
 
-def _parse_finite(text: str) -> float:
-    """A decimal as a float; 'inf', 'nan' and overflowing values are rejected."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"s must be a finite number, got {text!r}")
-    return value
-
-
 def _parse_rational_loose(text: str) -> Fraction:
-    """'p/q', integer, or decimal; decimals map to their exact float value."""
+    """'p/q', integer, or decimal (its exact float value), finite and > 0."""
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except ValueError:
-        return Fraction(_parse_finite(text))
+        value = float(text)
+    return Fraction(check_positive(value, "--s"))
 
 
 def _resolve_seed(seed_arg: int | None) -> int:
@@ -187,9 +179,7 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
     # (0, 1]; from 10*tol >= 1 on, that gate would pass any value in [0, 1].
     if not (tol >= TOLERANCE_FLOOR and 10 * tol < 1):
         raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g} and < 0.1, got {tol:g}")
-    s_values = [_parse_finite(tok) for tok in args.s.split(",")]
-    if any(s <= 0 for s in s_values):
-        raise NonPositiveS("--s values must be > 0")
+    s_values = [float(_parse_rational_loose(tok)) for tok in args.s.split(",")]
     n_values = _parse_int_list(args.n, "n")
 
     rows = []
@@ -233,6 +223,7 @@ def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
     s = _parse_rational_loose(args.s)
+    check_natural(args.m, "--m", 1)
     # Canonical row order; streams follow it.
     n_values = sorted(set(_parse_int_list(args.n, "n", minimum=1))) if args.n else None
 
@@ -293,7 +284,8 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_quad = sub.add_parser("quadrature", help="quadrature of both integral routes vs exact")
-    p_quad.add_argument("--s", default="0.5,1,2,10", help="comma list of positive reals")
+    p_quad.add_argument("--s", default="0.5,1,2,10",
+                        help="comma list of positive reals: 'p/q', integer, or decimal")
     p_quad.add_argument("--n", default="1..30", help="int, 'A..B', or comma list")
     p_quad.add_argument("--tol", type=float, default=1e-10)
     for flag, kw in common.items():
@@ -328,7 +320,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError) as exc:  # input errors subclass ValueError; OSError: --output
+    except (ValueError, OverflowError, OSError) as exc:  # bad input, s past float64, --output
         print(f"binomax: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if ok else EXIT_FAILURE

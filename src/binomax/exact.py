@@ -15,9 +15,12 @@ exponents, so nothing inexact can leak into an exact computation.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from decimal import Decimal
 from fractions import Fraction
+
+from .errors import NonPositiveS
 
 Rational = Fraction
 
@@ -59,6 +62,16 @@ def check_natural(value: int, name: str = "n", minimum: int = 0) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         kind = "a positive integer" if minimum else "a non-negative integer"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def check_positive(value, name: str = "s"):
+    """Validate a finite value > 0 (s or a rate) and return it unchanged;
+    exact values (int, Fraction) are finite at any size."""
+    exact = isinstance(value, numbers.Rational)
+    if not (value > 0 and (exact or math.isfinite(value))):
+        shown = format_rational(value) if exact else repr(value)
+        raise NonPositiveS(f"{name} must be finite and > 0, got {shown}")
     return value
 
 

@@ -31,11 +31,10 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     EmptySequence,
     InternalRouteMismatch,
-    NonPositiveS,
     NRequired,
     UnknownIdentity,
 )
-from .exact import Rational, check_natural, format_rational
+from .exact import Rational, check_natural, check_positive, format_rational
 from .jets import Jet, jet_constant, jet_variable
 
 #: Default parameter sweep used by the verification engine and the CLI.
@@ -103,9 +102,7 @@ def _check(s: Rational, n: int, m: int = 1) -> Fraction:
     :class:`IdentityParams` validate through here; the row evaluators
     below take parameters already checked.
     """
-    s = Fraction(s)
-    if s <= 0:
-        raise NonPositiveS(f"s must be > 0, got {format_rational(s)}")
+    s = Fraction(check_positive(s))
     check_natural(n, "n")
     check_natural(m, "m", 1)
     return s

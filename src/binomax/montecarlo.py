@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientSamples, NRequired, TooFewSamples
-from .exact import Rational, check_natural
+from .exact import Rational, check_natural, check_positive
 from .identities import eval_basic_rhs, tail_prob_exact
 
 MIN_SAMPLES = 10_000
@@ -62,35 +62,34 @@ def _check_n(n: int) -> int:
         raise NRequired(f"n must be >= 1, got {n!r}") from None
 
 
+def _unit_exp(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
+    """size x k unit-rate exponential draws -log(u); no name holds the uniforms."""
+    return -np.log(uniform_open(rng, size * k).reshape(size, k))
+
+
 def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Exponential draws with the given rate, by inverse CDF: -log(u)/rate."""
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate!r}")
-    return -np.log(uniform_open(rng, size)) / rate
+    return sample_gamma_integer(1, rate, rng, size)
 
 
 def sample_max_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Max of n independent unit-rate exponential draws, ``size`` times."""
     _check_n(n)
-    u = uniform_open(rng, size * n).reshape(size, n)
-    return (-np.log(u)).max(axis=1)
+    return _unit_exp(rng, size, n).max(axis=1)
 
 
 def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sum of independent draws Exp(1) + Exp(2) + ... + Exp(n), ``size`` times."""
     _check_n(n)
     rates = np.arange(1, n + 1, dtype=np.float64)
-    u = uniform_open(rng, size * n).reshape(size, n)
-    return (-np.log(u) / rates).sum(axis=1)
+    return (_unit_exp(rng, size, n) / rates).sum(axis=1)
 
 
 def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Integer-shape gamma draws: the sum of m independent rate-s exponentials."""
     check_natural(m, "m", 1)
-    if not float(s) > 0:
-        raise ValueError(f"s must be > 0, got {s!r}")
-    u = uniform_open(rng, size * m).reshape(size, m)
-    return (-np.log(u) / float(s)).sum(axis=1)
+    s = check_positive(float(s))
+    return (_unit_exp(rng, size, m) / s).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -144,12 +143,12 @@ def estimate_tail_prob(m: int, s, n: int, samples: int, cfg: RngConfig) -> Monte
 
 def empirical_laplace(s, n: int, samples: int, cfg: RngConfig) -> MonteCarloEstimate:
     """Sample mean of exp(-s X) over draws X = max of n unit exponentials."""
-    if not float(s) > 0:
-        raise ValueError(f"s must be > 0, got {s!r}")
+    check_positive(s)
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {samples}")
     rng = cfg.generator()
-    values = np.exp(-float(s) * sample_max_exp(n, rng, size=samples))
+    with np.errstate(over="ignore"):  # for huge s, -s*X may be -inf; exp(-inf) = 0
+        values = np.exp(-float(s) * sample_max_exp(n, rng, size=samples))
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(samples)
     exact = _exact_s(s)

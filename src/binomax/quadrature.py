@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonPositiveS, NRequired, ToleranceNotMet
-from .exact import check_natural
+from .errors import NRequired, ToleranceNotMet
+from .exact import check_natural, check_positive
 
 #: Tolerances below this are rejected: the error estimator itself works in
 #: float64 and cannot certify anything tighter.  Tolerances of 1 or more
@@ -109,11 +109,9 @@ def adaptive_simpson(
 
 
 def _check_route_args(s: float, n: int, tol: float, density: bool) -> tuple[float, float]:
-    """Check s > 0, then n >= 0 (>= 1 for the density route), then
-    TOLERANCE_FLOOR <= tol < 1; return s and tol as floats."""
-    s = float(s)
-    if s <= 0:
-        raise NonPositiveS(f"s must be > 0, got {s!r}")
+    """Check that s is finite and > 0, then n >= 0 (>= 1 for the density
+    route), then TOLERANCE_FLOOR <= tol < 1; return s and tol as floats."""
+    s = check_positive(float(s))
     check_natural(n, "n")
     if density and n == 0:
         raise NRequired("the density route requires n >= 1")
@@ -155,7 +153,4 @@ def laplace_via_density_quadrature(s: float, n: int, tol: float) -> QuadratureRe
     def integrand(w: float) -> float:
         return n * (1.0 - w) ** s * w ** (n - 1)
 
-    # Continuity on [0, 1]: w=0 gives n*1*0^(n-1) (finite, = n when n=1),
-    # w=1 gives 0 for s > 0.
-    assert math.isfinite(integrand(0.0)) and math.isfinite(integrand(1.0))
     return adaptive_simpson(integrand, 0.0, 1.0, tol)

@@ -1,12 +1,21 @@
 """The package namespace is the README's quick tour, and the tour runs."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import binomax
+from binomax.errors import NonPositiveS
+from binomax.montecarlo import (
+    RngConfig,
+    empirical_laplace,
+    exp_sample,
+    sample_gamma_integer,
+)
+from binomax.quadrature import laplace_via_cdf_quadrature
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +64,34 @@ def test_readme_quick_tour_runs_and_matches_its_comments():
     assert r.estimated_error <= 1e-10 and r.evaluations > 0
     assert est.exact_reference == Fraction(3, 4)
     assert abs(est.estimate - 0.75) <= 4 * est.std_error
+
+
+# Every public entry point that takes s or a rate, with valid other arguments.
+S_ENTRY_POINTS = {
+    "IdentityParams": lambda s: binomax.IdentityParams(s, 3),
+    "eval_basic_lhs": lambda s: binomax.eval_basic_lhs(s, 3),
+    "eval_basic_rhs": lambda s: binomax.eval_basic_rhs(s, 3),
+    "eval_f_jet": lambda s: binomax.eval_f_jet(s, 3, 2),
+    "tail_prob_exact": lambda s: binomax.tail_prob_exact(2, s, 3),
+    "cdf_quadrature": lambda s: laplace_via_cdf_quadrature(s, 3, 1e-10),
+    "density_quadrature": lambda s: binomax.laplace_via_density_quadrature(s, 3, 1e-10),
+    "exp_sample": lambda s: exp_sample(s, RngConfig(1).generator(), 10),
+    "sample_gamma_integer": lambda s: sample_gamma_integer(2, s, RngConfig(1).generator(), 10),
+    "estimate_tail_prob": lambda s: binomax.estimate_tail_prob(2, s, 3, 10_000, RngConfig(1)),
+    "empirical_laplace": lambda s: empirical_laplace(s, 3, 10_000, RngConfig(1)),
+}
+
+
+@pytest.mark.parametrize("s", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("entry", S_ENTRY_POINTS.values(), ids=S_ENTRY_POINTS.keys())
+def test_every_s_entry_point_rejects_non_positive_or_non_finite_s(entry, s):
+    with pytest.raises(NonPositiveS, match="must be finite and > 0"):
+        entry(s)
+
+
+def test_rejected_gamma_draw_leaves_the_generator_untouched():
+    rng = RngConfig(5).generator()
+    before = repr(rng.bit_generator.state)  # the Philox state holds small arrays
+    with pytest.raises(NonPositiveS):
+        sample_gamma_integer(2, math.nan, rng, 1000)
+    assert repr(rng.bit_generator.state) == before

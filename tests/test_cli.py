@@ -2,6 +2,7 @@ import csv
 import filecmp
 import io
 import json
+import warnings
 
 import pytest
 
@@ -185,6 +186,26 @@ class TestSimulateCommand:
         assert row["estimate"] == row["std_error"] == "0"
         assert row["pass"] is False
 
+    def test_huge_s_writes_nothing_to_stderr(self, capsys):
+        # -s*X overflows to -inf there; exp(-inf) = 0 needs no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "simulate", "--suite", "laplace", "--s", "1e308", "--n", "2",
+                "--samples", "10000", "--seed", "1")
+        assert code == EXIT_FAILURE  # the reference underflows float64
+        assert out and err == ""
+        assert caught == []
+
+    @pytest.mark.parametrize("flag,value", [("--s", "-1"), ("--s", "0"), ("--m", "0")])
+    def test_every_suite_checks_s_and_m(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "simulate", "--suite", "lemma1", flag, value,
+            "--samples", "10000", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"{flag} must be" in err
+
     def test_insufficient_samples(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--suite", "tail", "--samples", "100", "--seed", "1")
@@ -292,6 +313,17 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--suite", "tail", "--s", "1" + "0" * 400, "--n", "1"),
+        ("simulate", "--suite", "laplace", "--s", "1" + "0" * 400),
+        ("quadrature", "--s", "1" + "0" * 400, "--n", "1"),
+    ], ids=["simulate-tail", "simulate-laplace", "quadrature"])
+    def test_s_beyond_float_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "too large" in err
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--identity", "basic", "--n", "5..1"),

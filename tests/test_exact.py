@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binomax.exact import check_natural, factorial, format_rational, parse_rational
+from binomax.errors import NonPositiveS
+from binomax.exact import (
+    check_natural,
+    check_positive,
+    factorial,
+    format_rational,
+    parse_rational,
+)
 
 
 class TestFactorial:
@@ -92,3 +99,13 @@ def test_check_natural():
     for bad in (0, True, 2.0):
         with pytest.raises(ValueError, match=f"m must be a positive integer, got {bad!r}"):
             check_natural(bad, "m", 1)
+
+
+def test_check_positive():
+    huge = Fraction(10**400)  # exact, so finite, though beyond float64
+    for good in (Fraction(1, 3), 2, 0.5, 5e-324, huge):
+        assert check_positive(good) is good
+    for bad, shown in ((Fraction(-1, 2), "-1/2"), (0, "0"), (-0.0, "-0.0"),
+                       (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(NonPositiveS, match=f"^rate must be finite and > 0, got {shown}$"):
+            check_positive(bad, "rate")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,32 @@ class TestSamplers:
             sample_gamma_integer(True, 1.0, RngConfig(1).generator(), size=1)
         with pytest.raises(ValueError):
             sample_gamma_integer(1, -1.0, RngConfig(1).generator(), size=1)
+
+
+class TestSamplerBits:
+    """The samplers' floats, pinned bit for bit at one seed."""
+
+    @pytest.mark.parametrize("draw,first,last", [
+        (lambda rng: exp_sample(2.5, rng, 1000), "0x1.228d5c998175fp-1", "0x1.6e1bebd9785e0p-3"),
+        (lambda rng: sample_max_exp(5, rng, 1000), "0x1.5c7f448a5a4fdp+1", "0x1.81e0fc0f44bc5p-1"),
+        (lambda rng: sample_sum_exp(5, rng, 1000), "0x1.c1063e0bcac86p+1", "0x1.00069bddcfb6dp+0"),
+        (lambda rng: sample_gamma_integer(3, 1.5, rng, 1000),
+         "0x1.939aabeab3a5ep+1", "0x1.cfae25a315da6p+0"),
+    ], ids=["exp", "max", "sum", "gamma"])
+    def test_first_and_last_draw(self, draw, first, last):
+        draws = draw(RngConfig(2026, 7).generator())
+        assert (float(draws[0]).hex(), float(draws[-1]).hex()) == (first, last)
+
+    def test_sum_peak_memory_is_bounded_by_its_draw_matrix(self):
+        rng = RngConfig(1).generator()
+        matrix = 100_000 * 20 * 8  # bytes of one float64 draw matrix
+        tracemalloc.start()
+        try:
+            sample_sum_exp(20, rng, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * matrix
 
 
 class TestEstimators:
