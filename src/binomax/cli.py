@@ -130,12 +130,15 @@ def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
 
 
 def _parse_rational_loose(text: str) -> Fraction:
-    """'p/q', integer, or decimal (its exact float value), finite and > 0."""
+    """'p/q', integer, or decimal (its exact float value); finite, > 0, and nonzero as a float."""
     try:
         value = parse_rational(text)
     except ValueError:
         value = float(text)
-    return Fraction(check_positive(value, "--s"))
+    s = Fraction(check_positive(value, "--s"))
+    if float(s) == 0:
+        raise ValueError(f"--s {text} is below the float64 range")
+    return s
 
 
 def _resolve_seed(seed_arg: int | None) -> int:

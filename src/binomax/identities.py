@@ -23,8 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, gcd, prod
+from itertools import accumulate, repeat
+from math import factorial, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -117,20 +117,20 @@ def _signed_binomials(n: int) -> Iterable[tuple[int, int]]:
         yield k, -c if k & 1 else c
 
 
-def _alternating(n: int, terms: Iterable[Rational]) -> Fraction:
-    """sum_{k=0..n} (-1)^k C(n,k) terms[k], exactly.
+def _alternating(n: int, terms: Iterable[tuple[int, int]]) -> Fraction:
+    """sum_{k=0..n} (-1)^k C(n,k) a_k/b_k, exactly, for integer pairs (a_k, b_k).
 
-    One integer numerator is kept over the running lcm of the term
-    denominators, which costs one gcd per term; the sum is normalised
-    into a Fraction once, at the end.  ``terms`` must hold exactly n + 1
-    values: a shorter or longer sequence raises ValueError.
+    The pairs need not be in lowest terms, and no gcd is taken per term: a
+    term over the running denominator is only added, any other
+    cross-multiplies, and the sum becomes a Fraction once, at the end.
+    ``terms`` must hold exactly n + 1 pairs, else ValueError.
     """
     num, den = 0, 1
-    for (_, c), term in zip(_signed_binomials(n), terms, strict=True):
-        q = term.denominator
-        g = gcd(den, q)
-        num = num * (q // g) + c * term.numerator * (den // g)
-        den *= q // g
+    for (_, c), (a, b) in zip(_signed_binomials(n), terms, strict=True):
+        if b == den:
+            num += c * a
+        else:
+            num, den = num * b + c * a * den, den * b
     return Fraction(num, den)
 
 
@@ -191,10 +191,11 @@ def _conditioning_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Rat
     """Conditioning-route tail probability for every m in ms:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m, one alternating sum per
-    distinct m over the ratios s/(s+k), which are computed once.
+    distinct m; for s = p/q, term k is the integer pair (p^m, (p+kq)^m).
     """
-    ratios = [s / (s + k) for k in range(n + 1)]
-    return {m: _alternating(n, (r ** m for r in ratios)) for m in set(ms)}
+    p, q = s.numerator, s.denominator
+    shifted = range(p, p + n * q + 1, q)
+    return {m: _alternating(n, zip(repeat(p ** m), (d ** m for d in shifted))) for m in set(ms)}
 
 
 def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
@@ -274,22 +275,27 @@ def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
 def _general_m_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
     """Both sides of the general-m identity at (s, n) for every m in ms.
 
-    The geometric partial sums  g_j(m) = sum_{i=1..m} (s/(s+j+1))^i  are
-    built once per j; each m's right side is one alternating sum of them.
+    For s = p/q and d = p + (j+1)q, the partial sums g_j(m) = sum_{i=1..m} (p/d)^i
+    are the pairs (h_m, d^m), h_m = d h_{m-1} + p^m, built once per j;
+    each m's right side is one alternating sum of them.
     """
     lhs = _conditioning_tails(s, n, ms)
-    top = max(ms)
-    ratios = (s / (s + j + 1) for j in range(n))
-    partials = [list(accumulate(r ** i for i in range(1, top + 1))) for r in ratios]
+    p, q = s.numerator, s.denominator
+    p_powers = list(accumulate(repeat(p, max(ms)), mul))
+    partials = [list(zip(accumulate(p_powers, lambda h, p_power: h * d + p_power),
+                         accumulate(repeat(d), mul)))
+                for d in range(p + q, p + n * q + 1, q)]
     scale = Fraction(n) / s
     rhs = {m: scale * _alternating(n - 1, (g[m - 1] for g in partials)) for m in set(ms)}
     return [(lhs[m], rhs[m]) for m in ms]
 
 
-def _running_products(s: Fraction, n: int) -> Iterable[Fraction]:
-    """prod_{j=1..k} j/(s+j) for k = 0..n, the empty k = 0 product being 1."""
-    factors = (Fraction(j) / (s + j) for j in range(1, n + 1))
-    return accumulate(factors, mul, initial=Fraction(1))
+def _running_products(s: Fraction, n: int) -> list[tuple[int, int]]:
+    """prod_{j=1..k} j/(s+j), k = 0..n, as integer pairs over prod_{j=1..n} (p+jq), s = p/q."""
+    p, q = s.numerator, s.denominator
+    tops = accumulate(range(q, n * q + 1, q), mul, initial=1)
+    tails = list(accumulate(range(p + n * q, p, -q), mul, initial=1))  # tails[i]: last i factors
+    return [(top * tails[n - k], tails[-1]) for k, top in enumerate(tops)]
 
 
 def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -312,8 +318,11 @@ def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
     rhs = (s/(s+n))^2
     """
     s = _check(s, n)
-    partial_sums = accumulate(s / (s + i) for i in range(n + 1))
-    lhs = _alternating(n, map(mul, _running_products(s, n), partial_sums))
+    products = _running_products(s, n)
+    p, q, den = s.numerator, s.denominator, products[0][1]
+    # sum_{i=0..k} s/(s+i) over the products' denominator; its i = 0 term is 1.
+    sums = accumulate((p * (den // (p + i * q)) for i in range(1, n + 1)), initial=den)
+    lhs = _alternating(n, zip((a * h for (a, _), h in zip(products, sums)), repeat(den * den)))
     return lhs, (s / (s + n)) ** 2
 
 
@@ -329,7 +338,8 @@ def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     s = _check(s, n)
     log_sum = sum((Fraction(1) / (s + j) for j in range(1, n + 1)), Fraction(0))
     lhs = eval_basic_rhs(s, n) * log_sum
-    rhs = -_alternating(n, (k / (s + k) ** 2 for k in range(n + 1)))
+    p, q = s.numerator, s.denominator
+    rhs = -_alternating(n, ((k * q * q, (p + k * q) ** 2) for k in range(n + 1)))
     return lhs, rhs
 
 
@@ -338,10 +348,10 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
 
     The transform is an involution: applying it twice recovers the input.
     """
-    items = [Fraction(v) for v in values]
-    if not items:
+    pairs = [Fraction(v).as_integer_ratio() for v in values]
+    if not pairs:
         raise EmptySequence("binomial inversion needs at least one term")
-    return [_alternating(n, items[: n + 1]) for n in range(len(items))]
+    return [_alternating(n, pairs[: n + 1]) for n in range(len(pairs))]
 
 
 # A row evaluator maps a checked (s, n) and shapes ms to one (lhs, rhs)

@@ -6,7 +6,12 @@ h^(i)(s)/i!.  Sums, differences, Cauchy products and quotients of jets
 then propagate exact derivatives through rational-function formulas
 without any symbolic expression trees: all we ever need are derivative
 values at a point, and a jet of order K delivers them with O(K^2)
-rational multiplications per operation.
+multiplications per operation.
+
+Coefficients are ``int`` numerators over one shared positive denominator,
+not kept in lowest terms: addition cross-multiplies after one gcd of the
+denominators, multiplication and the fraction-free division (Bareiss, BIT
+1968) stay on integers, and ``coeffs`` normalises once, when first read.
 
 Jets are immutable.  A constant jet may carry ``base_point=None``
 (point-agnostic); it combines with any jet of the same order, and the
@@ -15,8 +20,8 @@ result inherits the concrete expansion point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZeroJet, MixedJets, OrderExceeded
 from .exact import Rational, check_natural, factorial
@@ -24,20 +29,48 @@ from .exact import Rational, check_natural, factorial
 _Scalar = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class Jet:
     """Truncated Taylor expansion at ``base_point``; ``coeffs[i] = h^(i)/i!``."""
 
-    base_point: Rational | None
-    coeffs: tuple[Rational, ...]
+    __slots__ = ("_point", "_nums", "_den", "_coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1:
+    def __init__(self, base_point: Rational | None, coeffs: tuple[Rational, ...]) -> None:
+        coeffs = tuple(map(Fraction, coeffs))
+        if len(coeffs) < 1:
             raise ValueError("a jet needs at least the order-0 coefficient")
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._point, self._nums, self._den, self._coeffs = base_point, nums, den, coeffs
+
+    @classmethod
+    def _over(cls, point: Rational | None, nums: tuple[int, ...], den: int) -> Jet:
+        """The jet with coefficients nums[i]/den, for den > 0."""
+        jet = object.__new__(cls)
+        jet._point, jet._nums, jet._den, jet._coeffs = point, nums, den, None
+        return jet
+
+    base_point = property(lambda self: self._point, doc="The expansion point, or None.")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(a, self._den) for a in self._nums)
+        return self._coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._point, self.coeffs) == (other._point, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self._point, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Jet(base_point={self._point!r}, coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def value(self) -> Rational:
@@ -50,25 +83,20 @@ class Jet:
         return factorial(k) * self.coeffs[k]
 
     def _merge_point(self, other: Jet) -> Rational | None:
-        if self.order != other.order:
-            raise MixedJets(
-                f"jet orders differ: {self.order} vs {other.order}"
-            )
-        if (
-            self.base_point is not None
-            and other.base_point is not None
-            and self.base_point != other.base_point
-        ):
-            raise MixedJets(
-                f"jet base points differ: {self.base_point} vs {other.base_point}"
-            )
-        return self.base_point if self.base_point is not None else other.base_point
+        if len(self._nums) != len(other._nums):
+            raise MixedJets(f"jet orders differ: {self.order} vs {other.order}")
+        point, other_point = self._point, other._point
+        if point is None or point is other_point:
+            return other_point
+        if other_point is not None and point != other_point:
+            raise MixedJets(f"jet base points differ: {point} vs {other_point}")
+        return point
 
     def _coerce(self, other: object) -> Jet | None:
         if isinstance(other, Jet):
             return other
         if isinstance(other, _Scalar):
-            return jet_constant(Fraction(other), self.order)
+            return jet_constant(other, self.order)
         return None
 
     def __add__(self, other: object) -> Jet:
@@ -76,7 +104,12 @@ class Jet:
         if rhs is None:
             return NotImplemented
         point = self._merge_point(rhs)
-        return Jet(point, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs)))
+        a, b, den = self._nums, rhs._nums, self._den
+        if rhs._den != den:  # bring both over lcm(den, rhs._den)
+            g = gcd(den, rhs._den)
+            scale_a, scale_b = rhs._den // g, den // g
+            a, b, den = [x * scale_a for x in a], [y * scale_b for y in b], den * scale_a
+        return Jet._over(point, tuple(x + y for x, y in zip(a, b)), den)
 
     __radd__ = __add__
 
@@ -87,24 +120,19 @@ class Jet:
         return -self + other
 
     def __neg__(self) -> Jet:
-        return Jet(self.base_point, tuple(-a for a in self.coeffs))
+        return Jet._over(self._point, tuple(-a for a in self._nums), self._den)
 
     def __mul__(self, other: object) -> Jet:
         if isinstance(other, _Scalar):
-            c = Fraction(other)
-            return Jet(self.base_point, tuple(a * c for a in self.coeffs))
+            nums = tuple(a * other.numerator for a in self._nums)
+            return Jet._over(self._point, nums, self._den * other.denominator)
         if not isinstance(other, Jet):
             return NotImplemented
         point = self._merge_point(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for i in range(len(a)):
-            acc = Fraction(0)
-            for j in range(i + 1):
-                if a[j] and b[i - j]:
-                    acc += a[j] * b[i - j]
-            out.append(acc)
-        return Jet(point, tuple(out))
+        a, b = self._nums, other._nums
+        out = tuple(sum(a[j] * b[i - j] for j in range(i + 1) if a[j] and b[i - j])
+                    for i in range(len(a)))
+        return Jet._over(point, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -113,38 +141,37 @@ class Jet:
         if rhs is None:
             return NotImplemented
         point = self._merge_point(rhs)
-        a, b = self.coeffs, rhs.coeffs
-        if b[0] == 0:
+        a, b, b0 = self._nums, rhs._nums, rhs._nums[0]
+        if b0 == 0:
             raise DivisionByZeroJet("divisor jet has zero value coefficient")
-        # Solve a = q*b coefficient by coefficient (Cauchy recurrence).
-        q: list[Rational] = [a[0] / b[0]]
-        for i in range(1, len(a)):
-            acc = a[i]
-            for j in range(1, i + 1):
-                if b[j]:
-                    acc -= b[j] * q[i - j]
-            q.append(acc / b[0])
-        return Jet(point, tuple(q))
+        # Solve a = q*b fraction-free (order K): R_i = b0^(i+1) q_i is the integer
+        # a_i b0^i - sum_{j>=1} b_j R_{i-j} b0^(j-1), and q_i = R_i b0^(K-i) / b0^(K+1).
+        powers = [b0 ** i for i in range(len(a))]
+        r: list[int] = []
+        for i in range(len(a)):
+            r.append(a[i] * powers[i] - sum(b[j] * r[i - j] * powers[j - 1]
+                                            for j in range(1, i + 1) if b[j]))
+        # (a/da) / (b/db) = (a/b) * (db/da), with the sign moved into the numerators.
+        den = powers[-1] * b0 * self._den
+        scale = rhs._den if den > 0 else -rhs._den
+        nums = tuple(x * powers[-1 - i] * scale for i, x in enumerate(r))
+        return Jet._over(point, nums, abs(den))
 
     def __rtruediv__(self, other: object) -> Jet:
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs.__truediv__(self)
+        return NotImplemented if rhs is None else rhs.__truediv__(self)
 
 
 def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:
     """Jet of the constant function c: all derivative coefficients zero."""
     check_natural(order, "order")
-    c = Fraction(c)
+    c = c if isinstance(c, _Scalar) else Fraction(c)
     point = Fraction(at) if at is not None else None
-    return Jet(point, (c,) + (Fraction(0),) * order)
+    return Jet._over(point, (c.numerator,) + (0,) * order, c.denominator)
 
 
 def jet_variable(s: Rational, order: int) -> Jet:
     """Jet of the identity function at s: value s, first derivative 1."""
     check_natural(order, "order")
     s = Fraction(s)
-    if order == 0:
-        return Jet(s, (s,))
-    return Jet(s, (s, Fraction(1)) + (Fraction(0),) * (order - 1))
+    return Jet._over(s, ((s.numerator, s.denominator) + (0,) * order)[: order + 1], s.denominator)

@@ -326,6 +326,19 @@ class TestUsage:
         assert "too large" in err
 
     @pytest.mark.parametrize("argv", [
+        ("quadrature", "--s", "1/1" + "0" * 400, "--n", "3"),
+        ("simulate", "--suite", "tail", "--s", "1/1" + "0" * 400, "--n", "1"),
+        ("simulate", "--suite", "laplace", "--s", "1/1" + "0" * 400, "--n", "2",
+         "--samples", "10000", "--seed", "1"),
+    ], ids=["quadrature", "simulate-tail", "simulate-laplace"])
+    def test_s_below_float_range_is_usage_error(self, capsys, argv):
+        # s > 0 exactly, but its float is 0: the float routes would run at s = 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "below the float64 range" in err
+
+    @pytest.mark.parametrize("argv", [
         ("verify", "--identity", "basic", "--n", "5..1"),
         ("quadrature", "--s", "1", "--n", "5..1"),
         ("simulate", "--suite", "lemma1", "--n", "5..1"),

@@ -433,27 +433,32 @@ _TERMS = st.one_of(
 
 
 @given(st.integers(0, 40).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(_TERMS, min_size=n + 1, max_size=n + 1))))
-@example((0, [Fraction(-3, 7)]))
-@example((5, [Fraction(2, 3)] * 6))
-@example((3, [-1, -2, 5, -7]))
-@example((2, [Fraction(1, 2**201 + 1), Fraction(-3, 2**250 - 1), Fraction(5, 3**130)]))
-def test_alternating_matches_fraction_sum(case):
+    lambda n: st.tuples(st.just(n), st.lists(_TERMS, min_size=n + 1, max_size=n + 1))),
+    st.lists(st.integers(1, 2**64), min_size=41, max_size=41))
+@example((0, [Fraction(-3, 7)]), [1] * 41)
+@example((5, [Fraction(2, 3)] * 6), [1] * 41)
+@example((3, [-1, -2, 5, -7]), [1] * 41)
+@example((2, [Fraction(1, 2**201 + 1), Fraction(-3, 2**250 - 1), Fraction(5, 3**130)]), [1] * 41)
+@example((3, [Fraction(2, 3), Fraction(2, 3), 5, Fraction(-1, 6)]), [2**64, 1, 3, 2**64])
+def test_alternating_matches_fraction_sum(case, scales):
+    # Each term k enters as the pair (g*num, g*den), g = scales[k]: lowest
+    # terms when g = 1, and not in lowest terms otherwise.
     n, terms = case
     expected = sum(c * t for (k, c), t in zip(identities._signed_binomials(n), terms))
-    result = identities._alternating(n, terms)
+    pairs = [(g * t.numerator, g * t.denominator) for g, t in zip(scales, terms)]
+    result = identities._alternating(n, pairs)
     assert type(result) is Fraction
     assert result == expected
 
 
 @given(st.integers(1, 40), _TERMS)
 def test_alternating_cancels_constant_terms(n, term):
-    assert identities._alternating(n, [term] * (n + 1)) == 0
+    assert identities._alternating(n, [term.as_integer_ratio()] * (n + 1)) == 0
 
 
 def test_alternating_rejects_a_short_term_sequence():
     with pytest.raises(ValueError):
-        identities._alternating(3, [ONE] * 3)
+        identities._alternating(3, [(1, 1)] * 3)
 
 
 def test_signed_binomials_match_math_comb():
