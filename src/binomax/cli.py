@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -135,6 +136,8 @@ def _parse_rational_loose(text: str) -> Fraction:
         value = parse_rational(text)
     except ValueError:
         value = float(text)
+        if value == 0 and Decimal(text) > 0:  # a positive decimal whose float underflows
+            value = Fraction(Decimal(text))
     s = Fraction(check_positive(value, "--s"))
     if float(s) == 0:
         raise ValueError(f"--s {text} is below the float64 range")

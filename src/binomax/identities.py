@@ -247,6 +247,14 @@ def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
     return via_conditioning
 
 
+def _reciprocal_sum(s: Fraction, js: range) -> Fraction:
+    """sum_{j in js} 1/(p + jq) for s = p/q, as one integer numerator over
+    prod_{j in js} (p + jq); so sum s/(s+j) is p times it and sum 1/(s+j) q times it."""
+    p, q = s.numerator, s.denominator
+    den = prod(p + j * q for j in js)
+    return Fraction(sum(den // (p + j * q) for j in js), den)
+
+
 def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     """Both sides of the squared-term identity:
 
@@ -255,7 +263,7 @@ def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     """
     s = _check(s, n)
     lhs = _conditioning_tails(s, n, [2])[2]
-    rhs = eval_basic_rhs(s, n) * sum((s / (s + j) for j in range(n + 1)), Fraction(0))
+    rhs = eval_basic_rhs(s, n) * s.numerator * _reciprocal_sum(s, range(n + 1))
     return lhs, rhs
 
 
@@ -336,9 +344,8 @@ def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     full product, as the jet oracle confirms.
     """
     s = _check(s, n)
-    log_sum = sum((Fraction(1) / (s + j) for j in range(1, n + 1)), Fraction(0))
-    lhs = eval_basic_rhs(s, n) * log_sum
     p, q = s.numerator, s.denominator
+    lhs = eval_basic_rhs(s, n) * q * _reciprocal_sum(s, range(1, n + 1))
     rhs = -_alternating(n, ((k * q * q, (p + k * q) ** 2) for k in range(n + 1)))
     return lhs, rhs
 

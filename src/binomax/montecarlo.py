@@ -28,6 +28,7 @@ MIN_SAMPLES = 10_000
 MIN_KS_SAMPLES = 100
 
 _U53 = 1 << 53
+_CHUNK_ROWS = 1 << 16  # rows per block of draws, and points per block of the KS test
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,20 @@ def _check_n(n: int) -> int:
         raise NRequired(f"n must be >= 1, got {n!r}") from None
 
 
-def _unit_exp(rng: np.random.Generator, size: int, k: int) -> np.ndarray:
-    """size x k unit-rate exponential draws -log(u); no name holds the uniforms."""
-    return -np.log(uniform_open(rng, size * k).reshape(size, k))
+def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndarray:
+    """``reduce`` applied to each row of a size x k matrix of unit-rate
+    exponential draws -log(u), as one length-``size`` vector.
+
+    The matrix is drawn _CHUNK_ROWS rows at a time, so memory is bounded by
+    the output and one block.  Philox draws come out in sequence and each
+    row's reduction reads only that row, so the values are bit-identical to
+    reducing the whole matrix at once.
+    """
+    out = np.empty(size)
+    for start in range(0, size, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, size - start)
+        out[start:start + rows] = reduce(-np.log(uniform_open(rng, rows * k).reshape(rows, k)))
+    return out
 
 
 def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -75,21 +87,21 @@ def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
 def sample_max_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Max of n independent unit-rate exponential draws, ``size`` times."""
     _check_n(n)
-    return _unit_exp(rng, size, n).max(axis=1)
+    return _reduced_exp(rng, size, n, lambda e: e.max(axis=1))
 
 
 def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sum of independent draws Exp(1) + Exp(2) + ... + Exp(n), ``size`` times."""
     _check_n(n)
     rates = np.arange(1, n + 1, dtype=np.float64)
-    return (_unit_exp(rng, size, n) / rates).sum(axis=1)
+    return _reduced_exp(rng, size, n, lambda e: (e / rates).sum(axis=1))
 
 
 def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Integer-shape gamma draws: the sum of m independent rate-s exponentials."""
     check_natural(m, "m", 1)
     s = check_positive(float(s))
-    return (_unit_exp(rng, size, m) / s).sum(axis=1)
+    return _reduced_exp(rng, size, m, lambda e: (e / s).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -198,10 +210,13 @@ def ks_two_sample(xs, ys) -> KsResult:
     n1, n2 = len(xs), len(ys)
     if n1 < MIN_KS_SAMPLES or n2 < MIN_KS_SAMPLES:
         raise TooFewSamples(f"need >= {MIN_KS_SAMPLES} samples per side, got {n1} and {n2}")
-    everything = np.concatenate([xs, ys])
-    cdf1 = np.searchsorted(xs, everything, side="right") / n1
-    cdf2 = np.searchsorted(ys, everything, side="right") / n2
-    statistic = float(np.max(np.abs(cdf1 - cdf2)))
+    statistic = 0.0
+    for points in (xs, ys):  # _CHUNK_ROWS points at a time; max is exact
+        for start in range(0, len(points), _CHUNK_ROWS):
+            at = points[start:start + _CHUNK_ROWS]
+            gap = np.abs(np.searchsorted(xs, at, side="right") / n1
+                         - np.searchsorted(ys, at, side="right") / n2)
+            statistic = max(statistic, float(gap.max()))
     effective = n1 * n2 / (n1 + n2)
     p_value = _kolmogorov_sf(math.sqrt(effective) * statistic)
     return KsResult(statistic, p_value, n1, n2)

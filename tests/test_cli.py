@@ -330,7 +330,10 @@ class TestUsage:
         ("simulate", "--suite", "tail", "--s", "1/1" + "0" * 400, "--n", "1"),
         ("simulate", "--suite", "laplace", "--s", "1/1" + "0" * 400, "--n", "2",
          "--samples", "10000", "--seed", "1"),
-    ], ids=["quadrature", "simulate-tail", "simulate-laplace"])
+        ("quadrature", "--s", "1e-400", "--n", "3"),
+        ("simulate", "--suite", "tail", "--s", "1e-400", "--n", "1"),
+    ], ids=["quadrature", "simulate-tail", "simulate-laplace", "quadrature-decimal",
+            "simulate-decimal"])
     def test_s_below_float_range_is_usage_error(self, capsys, argv):
         # s > 0 exactly, but its float is 0: the float routes would run at s = 0
         code, out, err = run_cli(capsys, *argv)

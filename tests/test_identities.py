@@ -256,6 +256,21 @@ class TestDerivativeIdentity:
                 assert rhs == oracle
 
 
+@given(st.integers(0, 60), st.one_of(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    st.builds(Fraction, st.integers(1, 2**300), st.integers(2**200 + 1, 2**260)),
+))
+@example(0, Fraction(3, 7))
+def test_reciprocal_sums_match_fraction_sums(n, s):
+    # the squared identity's right side and the derivative identity's left
+    # side, against their plain one-Fraction-per-term sums
+    product = eval_basic_rhs(s, n)
+    squared_rhs = product * sum((s / (s + j) for j in range(n + 1)), Fraction(0))
+    derivative_lhs = product * sum((1 / (s + j) for j in range(1, n + 1)), Fraction(0))
+    assert eval_squared_identity(s, n)[1] == squared_rhs
+    assert eval_derivative_identity(s, n)[0] == derivative_lhs
+
+
 class TestBinomialInvert:
     def test_constant_sequence_inverts_to_delta(self):
         assert binomial_invert([ONE] * 6) == [1, 0, 0, 0, 0, 0]

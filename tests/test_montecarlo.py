@@ -9,6 +9,7 @@ import scipy.stats
 from binomax.errors import InsufficientSamples, NRequired, TooFewSamples
 from binomax.identities import eval_basic_rhs, tail_prob_exact
 from binomax.montecarlo import (
+    _CHUNK_ROWS,
     KsResult,
     MonteCarloEstimate,
     RngConfig,
@@ -137,16 +138,39 @@ class TestSamplerBits:
         draws = draw(RngConfig(2026, 7).generator())
         assert (float(draws[0]).hex(), float(draws[-1]).hex()) == (first, last)
 
-    def test_sum_peak_memory_is_bounded_by_its_draw_matrix(self):
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("size", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                      3 * _CHUNK_ROWS + 5])
+    def test_blocked_draws_equal_the_whole_matrix(self, size, k):
+        def whole_matrix(stream):
+            # the size x k matrix drawn at once, as the samplers did before blocking
+            rng = RngConfig(2026, stream).generator()
+            return -np.log(uniform_open(rng, size * k).reshape(size, k))
+
+        rates = np.arange(1, k + 1, dtype=np.float64)
+        cases = [
+            (sample_max_exp(k, RngConfig(2026, 0).generator(), size), whole_matrix(0).max(axis=1)),
+            (sample_sum_exp(k, RngConfig(2026, 1).generator(), size),
+             (whole_matrix(1) / rates).sum(axis=1)),
+            (sample_gamma_integer(k, 1.5, RngConfig(2026, 2).generator(), size),
+             (whole_matrix(2) / 1.5).sum(axis=1)),
+        ]
+        for blocked, reference in cases:
+            assert blocked.shape == (size,)
+            assert blocked.tobytes() == reference.tobytes()
+
+    def test_sum_peak_memory_is_bounded_by_output_and_blocks(self):
+        # the whole 10^6 x 20 draw matrix would be 160 MB
         rng = RngConfig(1).generator()
-        matrix = 100_000 * 20 * 8  # bytes of one float64 draw matrix
+        size, n = 1_000_000, 20
+        output, block = size * 8, _CHUNK_ROWS * n * 8
         tracemalloc.start()
         try:
-            sample_sum_exp(20, rng, 100_000)
+            sample_sum_exp(n, rng, size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * matrix
+        assert peak <= output + 4 * block
 
 
 class TestEstimators:
@@ -251,6 +275,33 @@ class TestKsTwoSample:
         limit_p = scipy.stats.kstwobign.sf(math.sqrt(en) * ours.statistic)
         assert ours.p_value == pytest.approx(limit_p, rel=1e-9, abs=1e-12)
         assert ours.p_value == pytest.approx(ref.pvalue, abs=0.02)
+
+    def test_blocked_statistic_equals_the_concatenated_formula(self):
+        # heavy ties, n1 != n2, and both sides longer than one block of points
+        rng = np.random.default_rng(71)
+        xs = np.repeat(np.arange(40.0), 2_000)
+        ys = rng.integers(0, 50, size=2 * _CHUNK_ROWS + 3).astype(np.float64) * 0.75
+        sx, sy = np.sort(xs), np.sort(ys)
+        everything = np.concatenate([sx, sy])
+        reference = float(np.max(np.abs(np.searchsorted(sx, everything, side="right") / len(sx)
+                                        - np.searchsorted(sy, everything, side="right") / len(sy))))
+        result = ks_two_sample(xs, ys)
+        assert result.statistic == reference > 0
+        assert (result.n1, result.n2) == (len(xs), len(ys))
+
+    def test_peak_memory_is_bounded_by_the_sorted_copies(self):
+        # the concatenated formula held 2 (n1 + n2) more floats than the sorted copies
+        size = 1_000_000
+        xs = sample_max_exp(20, RngConfig(3, 0).generator(), size)
+        ys = sample_sum_exp(20, RngConfig(3, 1).generator(), size)
+        sorted_copies, block = 2 * size * 8, _CHUNK_ROWS * 8
+        tracemalloc.start()
+        try:
+            ks_two_sample(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sorted_copies + 8 * block
 
     def test_tie_handling_matches_scipy(self):
         xs = np.repeat([0.0, 1.0, 2.0, 3.0], 50)
