@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -131,15 +132,22 @@ def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
 
 
 def _parse_rational_loose(text: str) -> Fraction:
-    """'p/q', integer, or decimal (its exact float value); finite, > 0, and nonzero as a float."""
+    """'p/q', integer, or decimal (its exact float value); finite, > 0, and
+    within the float64 range, neither 0 nor infinite as a float."""
     try:
         value = parse_rational(text)
     except ValueError:
         value = float(text)
         if value == 0 and Decimal(text) > 0:  # a positive decimal whose float underflows
             value = Fraction(Decimal(text))
+        if value == math.inf and Decimal(text).is_finite():  # a decimal whose float overflows
+            raise ValueError(f"--s {text} is beyond the float64 range") from None
     s = Fraction(check_positive(value, "--s"))
-    if float(s) == 0:
+    try:
+        tiny = float(s) == 0
+    except OverflowError:
+        raise ValueError(f"--s {text} is beyond the float64 range") from None
+    if tiny:
         raise ValueError(f"--s {text} is below the float64 range")
     return s
 

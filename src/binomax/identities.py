@@ -23,8 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import factorial, prod
+from itertools import accumulate, islice, repeat
+from math import factorial, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -35,7 +35,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .exact import Rational, check_natural, check_positive, format_rational
-from .jets import Jet, jet_constant, jet_variable
+from .jets import Jet, JetBlock, jet_constant, jet_variable
 
 #: Default parameter sweep used by the verification engine and the CLI.
 DEFAULT_S_GRID: tuple[Rational, ...] = (
@@ -108,35 +108,76 @@ def _check(s: Rational, n: int, m: int = 1) -> Fraction:
     return s
 
 
-def _signed_binomials(n: int) -> Iterable[tuple[int, int]]:
-    """Yield (k, (-1)^k C(n,k)) for k = 0..n, building the row incrementally."""
-    c = 1
-    for k in range(n + 1):
-        if k:
-            c = c * (n - k + 1) // k
-        yield k, -c if k & 1 else c
+# Evaluation by column: every n of a grid ns at one checked s.
+_Tails = dict[int, dict[int, Rational]]  # n -> {m: tail probability}, m in ms
+_Column = dict[int, tuple[Rational, Rational]]  # n -> (lhs, rhs)
+_Rows = dict[int, list[tuple[Rational, Rational]]]  # n -> one (lhs, rhs) per m in ms
 
 
-def _alternating(n: int, terms: Iterable[tuple[int, int]]) -> Fraction:
-    """sum_{k=0..n} (-1)^k C(n,k) a_k/b_k, exactly, for integer pairs (a_k, b_k).
+#: Consecutive terms per block of the alternating-sum kernels.  Each block
+#: sits on its own common denominator, so memory grows linearly in max(n);
+#: one denominator over all terms grows quadratically.
+_BLOCK = 64
 
-    The pairs need not be in lowest terms, and no gcd is taken per term: a
-    term over the running denominator is only added, any other
-    cross-multiplies, and the sum becomes a Fraction once, at the end.
-    ``terms`` must hold exactly n + 1 pairs, else ValueError.
+
+def _signed_binomials(n: int) -> list[int]:
+    """The row (-1)^k C(n,k), k = 0..n, built incrementally."""
+    row, c = [1], 1
+    for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        row.append(-c if k & 1 else c)
+    return row
+
+
+def _blocks(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """Integer pairs (a_k, b_k) in blocks of _BLOCK consecutive k, each block
+    as (d, [a_k d/b_k]) over the lcm d of its b_k."""
+    blocks, pairs = [], iter(pairs)
+    while chunk := list(islice(pairs, _BLOCK)):
+        den = lcm(*(b for _, b in chunk))
+        blocks.append((den, [a * (den // b) for a, b in chunk]))
+    return blocks
+
+
+def _binomial_sums(ns: Iterable[int], columns: Iterable[Iterable[tuple[int, int]]]
+                   ) -> dict[int, list[Fraction]]:
+    """sum_{k=0..n} (-1)^k C(n,k) a_k/b_k, exactly, for every n in ns and every
+    column of integer pairs (a_k, b_k), k = 0..max(ns): n -> one sum per column.
+
+    The pairs need not be in lowest terms.  Each column is put in blocks
+    once; each n's row of signed binomials is built once for all columns,
+    and its sum is one integer dot product per block, the block partials
+    cross-multiplied together once and made a Fraction at the end.  Every
+    column must hold exactly max(ns) + 1 pairs, else ValueError.
     """
+    ns = set(ns)
+    size = max(ns) + 1
+    blocked = [_blocks(column) for column in columns]
+    if any(sum(len(nums) for _, nums in blocks) != size for blocks in blocked):
+        raise ValueError(f"every column needs exactly {size} terms")
+    sums = {}
+    for n in ns:
+        row = _signed_binomials(n)
+        sums[n] = [_dot(row, blocks) for blocks in blocked]
+    return sums
+
+
+def _dot(row: list[int], blocks: list[tuple[int, list[int]]]) -> Fraction:
+    """One column's sum at n = len(row) - 1: a dot product per block, then
+    the block partials over one denominator (added where it is shared)."""
     num, den = 0, 1
-    for (_, c), (a, b) in zip(_signed_binomials(n), terms, strict=True):
-        if b == den:
-            num += c * a
+    for start, (d, nums) in zip(range(0, len(row), _BLOCK), blocks):
+        part = sum(map(mul, row[start:start + _BLOCK], nums))
+        if d == den:
+            num += part
         else:
-            num, den = num * b + c * a * den, den * b
+            num, den = num * d + part * den, den * d
     return Fraction(num, den)
 
 
 def eval_basic_lhs(s: Rational, n: int) -> Rational:
     """Alternating sum  sum_{k=0..n} (-1)^k C(n,k) s/(s+k), the m = 1 conditioning tail."""
-    return _conditioning_tails(_check(s, n), n, [1])[1]
+    return _conditioning_tails(_check(s, n), [n], [1])[n][1]
 
 
 def eval_basic_rhs(s: Rational, n: int) -> Rational:
@@ -157,11 +198,27 @@ def eval_f_jet(s: Rational, n: int, order: int) -> Jet:
     """
     s = _check(s, n)
     check_natural(order, "order")
+    return _f_jet_column(s, [n], order)[n]
+
+
+def _f_jet_column(s: Fraction, ns: Iterable[int], order: int) -> dict[int, Jet]:
+    """eval_f_jet at s for every n in ns: n -> jet.
+
+    The term jets var/(var+k), k = 0..max(ns), are divided once, and put
+    in blocks of _BLOCK on one common denominator each; each n's jet is one
+    integer-weighted sum per block, the blocks joined with jet addition.
+    """
+    ns = set(ns)
     var = jet_variable(s, order)
-    acc = jet_constant(0, order, at=s)
-    for k, c in _signed_binomials(n):
-        acc = acc + (var / (var + k)) * c
-    return acc
+    terms = [var / (var + k) for k in range(max(ns) + 1)]
+    blocks = [JetBlock(terms[i:i + _BLOCK]) for i in range(0, len(terms), _BLOCK)]
+    jets = {}
+    for n in ns:
+        row = _signed_binomials(n)
+        parts = [block.weighted_sum(row[i:i + _BLOCK])
+                 for i, block in zip(range(0, n + 1, _BLOCK), blocks)]
+        jets[n] = sum(parts[1:], parts[0])
+    return jets
 
 
 def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
@@ -175,27 +232,31 @@ def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
     return acc
 
 
-def _derivative_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Rational]:
-    """Derivative-route tail probability for every m in ms, from one jet.
+def _derivative_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tails:
+    """Derivative-route tail probability for every n in ns and m in ms.
 
     The tail for shape m is  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s),
-    and s^k/k! * f^(k)(s) = s^k * coeffs[k], so the tails are prefix
-    sums over the coefficients of one jet of f of order max(ms) - 1.
+    and s^k/k! * f^(k)(s) = s^k * coeffs[k], so the tails are the Taylor
+    sums at displacement -s of one jet of f of order max(ms) - 1 per n.
     """
-    jet = eval_f_jet(s, n, max(ms) - 1)
-    prefix = list(accumulate((-s) ** k * coeff for k, coeff in enumerate(jet.coeffs)))
-    return {m: prefix[m - 1] for m in ms}
+    tails, shapes = {}, set(ms)
+    for n, jet in _f_jet_column(s, ns, max(shapes) - 1).items():
+        nums, den = jet.taylor_sums(-s)
+        tails[n] = {m: Fraction(nums[m - 1], den) for m in shapes}
+    return tails
 
 
-def _conditioning_tails(s: Fraction, n: int, ms: Sequence[int]) -> dict[int, Rational]:
-    """Conditioning-route tail probability for every m in ms:
+def _conditioning_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tails:
+    """Conditioning-route tail probability for every n in ns and m in ms:
 
-    sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m, one alternating sum per
-    distinct m; for s = p/q, term k is the integer pair (p^m, (p+kq)^m).
+    sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m; for s = p/q, term k is the
+    integer pair (p^m, (p+kq)^m), one column per distinct m.
     """
+    ns, shapes = set(ns), sorted(set(ms))
     p, q = s.numerator, s.denominator
-    shifted = range(p, p + n * q + 1, q)
-    return {m: _alternating(n, zip(repeat(p ** m), (d ** m for d in shifted))) for m in set(ms)}
+    shifted = range(p, p + max(ns) * q + 1, q)
+    sums = _binomial_sums(ns, [zip(repeat(p ** m), map(pow, shifted, repeat(m))) for m in shapes])
+    return {n: dict(zip(shapes, row)) for n, row in sums.items()}
 
 
 def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
@@ -205,7 +266,7 @@ def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
     transform of the max; the jet supplies the exact derivatives.
     """
     check_natural(m, "m", 1)  # m before s and n, as the arguments run
-    return _derivative_tails(_check(s, n), n, [m])[m]
+    return _derivative_tails(_check(s, n), [n], [m])[n][m]
 
 
 def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
@@ -214,15 +275,7 @@ def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m.
     """
     check_natural(m, "m", 1)
-    return _conditioning_tails(_check(s, n), n, [m])[m]
-
-
-def _tail_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
-    """Both tail-probability routes at (s, n) for every m in ms, each
-    route evaluated once for all of them."""
-    via_derivatives = _derivative_tails(s, n, ms)
-    via_conditioning = _conditioning_tails(s, n, ms)
-    return [(via_derivatives[m], via_conditioning[m]) for m in ms]
+    return _conditioning_tails(_check(s, n), [n], [m])[n][m]
 
 
 def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
@@ -261,10 +314,13 @@ def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     lhs = sum (-1)^k C(n,k) (s/(s+k))^2
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
-    s = _check(s, n)
-    lhs = _conditioning_tails(s, n, [2])[2]
-    rhs = eval_basic_rhs(s, n) * s.numerator * _reciprocal_sum(s, range(n + 1))
-    return lhs, rhs
+    return _squared_column(_check(s, n), [n])[n]
+
+
+def _squared_column(s: Fraction, ns: Iterable[int]) -> _Column:
+    lhs = _conditioning_tails(s, ns, [2])
+    return {n: (tails[2], eval_basic_rhs(s, n) * s.numerator * _reciprocal_sum(s, range(n + 1)))
+            for n, tails in lhs.items()}
 
 
 def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
@@ -280,30 +336,35 @@ def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
     return report.lhs, report.rhs
 
 
-def _general_m_rows(s: Fraction, n: int, ms: Sequence[int]) -> list[tuple[Rational, Rational]]:
-    """Both sides of the general-m identity at (s, n) for every m in ms.
+def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    """Both sides of the general-m identity for every n >= 1 in ns and m in ms.
 
     For s = p/q and d = p + (j+1)q, the partial sums g_j(m) = sum_{i=1..m} (p/d)^i
     are the pairs (h_m, d^m), h_m = d h_{m-1} + p^m, built once per j;
-    each m's right side is one alternating sum of them.
+    each m's right side at n is the alternating sum of them at n - 1.
     """
-    lhs = _conditioning_tails(s, n, ms)
+    ns, shapes = set(ns), sorted(set(ms))
+    lhs = _conditioning_tails(s, ns, shapes)
     p, q = s.numerator, s.denominator
-    p_powers = list(accumulate(repeat(p, max(ms)), mul))
+    p_powers = list(accumulate(repeat(p, shapes[-1]), mul))
     partials = [list(zip(accumulate(p_powers, lambda h, p_power: h * d + p_power),
                          accumulate(repeat(d), mul)))
-                for d in range(p + q, p + n * q + 1, q)]
-    scale = Fraction(n) / s
-    rhs = {m: scale * _alternating(n - 1, (g[m - 1] for g in partials)) for m in set(ms)}
-    return [(lhs[m], rhs[m]) for m in ms]
+                for d in range(p + q, p + max(ns) * q + 1, q)]
+    sums = _binomial_sums([n - 1 for n in ns], [[g[m - 1] for g in partials] for m in shapes])
+    rows = {}
+    for n in ns:
+        rhs = dict(zip(shapes, sums[n - 1]))
+        scale = Fraction(n) / s
+        rows[n] = [(lhs[n][m], scale * rhs[m]) for m in ms]
+    return rows
 
 
-def _running_products(s: Fraction, n: int) -> list[tuple[int, int]]:
-    """prod_{j=1..k} j/(s+j), k = 0..n, as integer pairs over prod_{j=1..n} (p+jq), s = p/q."""
+def _running_products(s: Fraction, top: int) -> list[tuple[int, int]]:
+    """prod_{j=1..k} j/(s+j), k = 0..top, as the integer pairs
+    (k! q^k, prod_{j=1..k} (p+jq)) for s = p/q."""
     p, q = s.numerator, s.denominator
-    tops = accumulate(range(q, n * q + 1, q), mul, initial=1)
-    tails = list(accumulate(range(p + n * q, p, -q), mul, initial=1))  # tails[i]: last i factors
-    return [(top * tails[n - k], tails[-1]) for k, top in enumerate(tops)]
+    return list(zip(accumulate(range(q, top * q + 1, q), mul, initial=1),
+                    accumulate(range(p + q, p + top * q + 1, q), mul, initial=1)))
 
 
 def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -314,9 +375,13 @@ def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
 
     with the k = 0 product empty, hence 1.
     """
-    s = _check(s, n)
-    lhs = _alternating(n, _running_products(s, n))
-    return lhs, s / (s + n)
+    return _inversion_first_column(_check(s, n), [n])[n]
+
+
+def _inversion_first_column(s: Fraction, ns: Iterable[int]) -> _Column:
+    ns = set(ns)
+    sums = _binomial_sums(ns, [_running_products(s, max(ns))])
+    return {n: (lhs, s / (s + n)) for n, (lhs,) in sums.items()}
 
 
 def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -325,13 +390,20 @@ def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
     lhs = sum_{k=0..n} (-1)^k C(n,k) [prod_{j=1..k} j/(s+j)] [sum_{i=0..k} s/(s+i)]
     rhs = (s/(s+n))^2
     """
-    s = _check(s, n)
-    products = _running_products(s, n)
-    p, q, den = s.numerator, s.denominator, products[0][1]
-    # sum_{i=0..k} s/(s+i) over the products' denominator; its i = 0 term is 1.
-    sums = accumulate((p * (den // (p + i * q)) for i in range(1, n + 1)), initial=den)
-    lhs = _alternating(n, zip((a * h for (a, _), h in zip(products, sums)), repeat(den * den)))
-    return lhs, (s / (s + n)) ** 2
+    return _inversion_second_column(_check(s, n), [n])[n]
+
+
+def _inversion_second_column(s: Fraction, ns: Iterable[int]) -> _Column:
+    ns = set(ns)
+    products = _running_products(s, max(ns))
+    p, q = s.numerator, s.denominator
+    # sum_{i=0..k} s/(s+i) = h_k / d_k over the products' denominators d_k,
+    # with h_0 = 1 and h_k = h_{k-1} (p+kq) + p d_{k-1}.
+    sums = [1]
+    for k, (_, d) in enumerate(products[:-1], 1):
+        sums.append(sums[-1] * (p + k * q) + p * d)
+    lhs = _binomial_sums(ns, [[(a * h, d * d) for (a, d), h in zip(products, sums)]])
+    return {n: (value, (s / (s + n)) ** 2) for n, (value,) in lhs.items()}
 
 
 def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -343,11 +415,29 @@ def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     The inner sum runs j = 1..n: it is the logarithmic derivative of the
     full product, as the jet oracle confirms.
     """
-    s = _check(s, n)
+    return _derivative_column(_check(s, n), [n])[n]
+
+
+def _derivative_column(s: Fraction, ns: Iterable[int]) -> _Column:
+    ns = set(ns)
     p, q = s.numerator, s.denominator
-    lhs = eval_basic_rhs(s, n) * q * _reciprocal_sum(s, range(1, n + 1))
-    rhs = -_alternating(n, ((k * q * q, (p + k * q) ** 2) for k in range(n + 1)))
-    return lhs, rhs
+    rhs = _binomial_sums(ns, [[(k * q * q, (p + k * q) ** 2) for k in range(max(ns) + 1)]])
+    return {n: (eval_basic_rhs(s, n) * q * _reciprocal_sum(s, range(1, n + 1)), -value)
+            for n, (value,) in rhs.items()}
+
+
+def _basic_column(s: Fraction, ns: Iterable[int]) -> _Column:
+    lhs = _conditioning_tails(s, ns, [1])
+    return {n: (tails[1], eval_basic_rhs(s, n)) for n, tails in lhs.items()}
+
+
+def _tail_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    """Both tail-probability routes for every n in ns and m in ms, each route
+    evaluated once for all of them."""
+    ns = set(ns)
+    via_derivatives = _derivative_tails(s, ns, ms)
+    via_conditioning = _conditioning_tails(s, ns, ms)
+    return {n: [(via_derivatives[n][m], via_conditioning[n][m]) for m in ms] for n in ns}
 
 
 def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
@@ -358,22 +448,29 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
     pairs = [Fraction(v).as_integer_ratio() for v in values]
     if not pairs:
         raise EmptySequence("binomial inversion needs at least one term")
-    return [_alternating(n, pairs[: n + 1]) for n in range(len(pairs))]
+    sums = _binomial_sums(range(len(pairs)), [pairs])
+    return [sums[n][0] for n in range(len(pairs))]
 
 
-# A row evaluator maps a checked (s, n) and shapes ms to one (lhs, rhs)
-# per m in ms.  The lambdas look names up at call time, so a replaced
-# module attribute (a test double, a tracer) is the one that runs.
-_RowEvaluator = Callable[[Fraction, int, Sequence[int]], list[tuple[Rational, Rational]]]
+# A row evaluator maps a checked s, a grid ns and shapes ms to _Rows.  The
+# lambdas look names up at call time, so a replaced module attribute (a test
+# double, a tracer) is the one that runs.
+_RowEvaluator = Callable[[Fraction, Sequence[int], Sequence[int]], _Rows]
+
+
+def _each_m(column: _Column, ms: Sequence[int]) -> _Rows:
+    """The rows of an identity that does not depend on m."""
+    return {n: [row] * len(ms) for n, row in column.items()}
+
 
 _ROWS: dict[IdentityId, _RowEvaluator] = {
-    IdentityId.BASIC: lambda s, n, ms: [(eval_basic_lhs(s, n), eval_basic_rhs(s, n))] * len(ms),
-    IdentityId.SQUARED: lambda s, n, ms: [eval_squared_identity(s, n)] * len(ms),
-    IdentityId.GENERAL_M: lambda s, n, ms: _general_m_rows(s, n, ms),
-    IdentityId.INVERSION_FIRST: lambda s, n, ms: [eval_inversion_first(s, n)] * len(ms),
-    IdentityId.INVERSION_SECOND: lambda s, n, ms: [eval_inversion_second(s, n)] * len(ms),
-    IdentityId.DERIVATIVE_FG: lambda s, n, ms: [eval_derivative_identity(s, n)] * len(ms),
-    IdentityId.TAIL_DERIVATIVE_FORM: lambda s, n, ms: _tail_rows(s, n, ms),
+    IdentityId.BASIC: lambda s, ns, ms: _each_m(_basic_column(s, ns), ms),
+    IdentityId.SQUARED: lambda s, ns, ms: _each_m(_squared_column(s, ns), ms),
+    IdentityId.GENERAL_M: lambda s, ns, ms: _general_m_rows(s, ns, ms),
+    IdentityId.INVERSION_FIRST: lambda s, ns, ms: _each_m(_inversion_first_column(s, ns), ms),
+    IdentityId.INVERSION_SECOND: lambda s, ns, ms: _each_m(_inversion_second_column(s, ns), ms),
+    IdentityId.DERIVATIVE_FG: lambda s, ns, ms: _each_m(_derivative_column(s, ns), ms),
+    IdentityId.TAIL_DERIVATIVE_FORM: lambda s, ns, ms: _tail_rows(s, ns, ms),
 }
 
 
@@ -394,7 +491,8 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     Invalid parameters raise (propagated from the evaluators); they are
     never coerced.
     """
-    [(lhs, rhs)] = _row_evaluator(identity, params.n)(params.s, params.n, [params.m])
+    n = params.n
+    [(lhs, rhs)] = _row_evaluator(identity, n)(params.s, [n], [params.m])[n]
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
 
 
@@ -413,32 +511,37 @@ def sweep(
 
     Reports come back in a canonical order, sorted on
     (identity, n, m, s), regardless of evaluation order.  Identities
-    that ignore m contribute one row per (s, n) with m = 1.  Each
-    (identity, n, s) is evaluated once for all m.  An invalid grid raises
-    what verifying its points one at a time in (identity, n, m, s) order
-    would: at each n the first point's parameters are checked, then the
-    identity's domain, then the remaining points.
+    that ignore m contribute one row per (s, n) with m = 1.  The whole
+    grid is validated first, and an invalid grid raises what verifying
+    its points one at a time in (identity, n, m, s) order would: at each
+    n the first point's parameters are checked, then the identity's
+    domain, then the remaining points.  Each (identity, s) is then
+    evaluated once for all n and m.
     """
     chosen = list(identities) if identities is not None else list(IdentityId)
     # Grids are read once: a generator would be used up by the first identity.
     n_grid = list(n_values) if n_values is not None else None
     m_grid = list(m_values) if m_values is not None else list(range(1, DEFAULT_M_MAX + 1))
-    reports: list[VerificationReport] = []
+    plan = []
     for identity in chosen:
         ns = n_grid if n_grid is not None else list(default_n_values(identity))
         ms = m_grid if identity in USES_M else [1]
         if not ms or not s_grid:
             continue
+        points = []
         for n in ns:
             # The first point's own errors come before the identity's domain error.
             IdentityParams(s=s_grid[0], n=n, m=ms[0])
             evaluate = _row_evaluator(identity, n)
-            points = [[IdentityParams(s=s, n=n, m=m) for s in s_grid] for m in ms]
-            for column in zip(*points):  # one s at every m
-                values = evaluate(column[0].s, n, ms)
-                reports.extend(
-                    VerificationReport(identity=identity, params=p, lhs=lhs, rhs=rhs)
-                    for p, (lhs, rhs) in zip(column, values)
-                )
+            points += [IdentityParams(s=s, n=n, m=m) for m in ms for s in s_grid]
+        if points:
+            plan.append((identity, evaluate, ns, ms, points))
+    reports: list[VerificationReport] = []
+    for identity, evaluate, ns, ms, points in plan:
+        columns = {s: evaluate(s, ns, ms) for s in dict.fromkeys(p.s for p in points)}
+        slot = {m: i for i, m in enumerate(ms)}
+        for p in points:
+            lhs, rhs = columns[p.s][p.n][slot[p.m]]
+            reports.append(VerificationReport(identity=identity, params=p, lhs=lhs, rhs=rhs))
     reports.sort(key=lambda r: (_RANK[r.identity], r.params.n, r.params.m, r.params.s))
     return reports

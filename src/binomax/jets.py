@@ -16,12 +16,19 @@ denominators, multiplication and the fraction-free division (Bareiss, BIT
 Jets are immutable.  A constant jet may carry ``base_point=None``
 (point-agnostic); it combines with any jet of the same order, and the
 result inherits the concrete expansion point.
+
+For sums of many jets with integer weights, :class:`JetBlock` puts a list
+of jets on one common denominator once, after which each weighted sum is
+one integer dot product per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
 from .errors import DivisionByZeroJet, MixedJets, OrderExceeded
 from .exact import Rational, check_natural, factorial
@@ -85,12 +92,7 @@ class Jet:
     def _merge_point(self, other: Jet) -> Rational | None:
         if len(self._nums) != len(other._nums):
             raise MixedJets(f"jet orders differ: {self.order} vs {other.order}")
-        point, other_point = self._point, other._point
-        if point is None or point is other_point:
-            return other_point
-        if other_point is not None and point != other_point:
-            raise MixedJets(f"jet base points differ: {point} vs {other_point}")
-        return point
+        return _merge_points(self._point, other._point)
 
     def _coerce(self, other: object) -> Jet | None:
         if isinstance(other, Jet):
@@ -160,6 +162,57 @@ class Jet:
     def __rtruediv__(self, other: object) -> Jet:
         rhs = self._coerce(other)
         return NotImplemented if rhs is None else rhs.__truediv__(self)
+
+    def taylor_sums(self, h: Rational) -> tuple[list[int], int]:
+        """The Taylor polynomials of every degree d = 0..order at displacement h,
+        sum_{i<=d} coeffs[i] h^i, as integer numerators over one positive
+        denominator (not in lowest terms): prefix sums of integers, no gcd."""
+        a, b = Fraction(h).as_integer_ratio()
+        k = len(self._nums) - 1
+        terms = (x * a ** i * b ** (k - i) for i, x in enumerate(self._nums))
+        return list(accumulate(terms)), self._den * b ** k
+
+
+def _merge_points(point: Rational | None, other: Rational | None) -> Rational | None:
+    """The expansion point of a combination: None defers to the other point."""
+    if point is None or point is other:
+        return other
+    if other is not None and point != other:
+        raise MixedJets(f"jet base points differ: {point} vs {other}")
+    return point
+
+
+class JetBlock:
+    """Jets of one order on one common denominator, for integer-weighted sums.
+
+    ``weighted_sum(cs)`` equals ``sum(c * jet for c, jet in zip(cs, jets))``
+    with ``+``'s rules on orders and points, but each coefficient is one
+    integer dot product over the block.
+    """
+
+    __slots__ = ("_point", "_den", "_columns")
+
+    def __init__(self, jets: Sequence[Jet]) -> None:
+        if not jets:
+            raise ValueError("a jet block needs at least one jet")
+        point, size = None, len(jets[0]._nums)
+        for jet in jets:
+            if len(jet._nums) != size:
+                raise MixedJets(f"jet orders differ: {size - 1} vs {jet.order}")
+            point = _merge_points(point, jet._point)
+        den = lcm(*(jet._den for jet in jets))
+        scales = [den // jet._den for jet in jets]
+        self._point, self._den = point, den
+        # Column i holds coefficient i of every jet, over den.
+        self._columns = [list(map(mul, (jet._nums[i] for jet in jets), scales)) for i in range(size)]
+
+    def weighted_sum(self, weights: Sequence[int]) -> Jet:
+        """sum_k weights[k] * jets[k] over the first len(weights) jets of the block."""
+        size = len(self._columns[0])
+        if len(weights) > size:
+            raise ValueError(f"{len(weights)} weights for a block of {size} jets")
+        return Jet._over(self._point, tuple(sum(map(mul, weights, col)) for col in self._columns),
+                         self._den)
 
 
 def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:

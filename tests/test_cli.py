@@ -304,7 +304,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ("simulate", "--suite", "tail", "--s", "inf", "--n", "1"),
         ("simulate", "--suite", "laplace", "--s", "nan"),
-        ("simulate", "--suite", "tail", "--s", "1e400"),
+        ("simulate", "--suite", "tail", "--s", "Infinity"),
         ("quadrature", "--s", "1,inf", "--n", "1"),
         ("quadrature", "--s", "nan", "--n", "1"),
     ])
@@ -318,12 +318,17 @@ class TestUsage:
         ("simulate", "--suite", "tail", "--s", "1" + "0" * 400, "--n", "1"),
         ("simulate", "--suite", "laplace", "--s", "1" + "0" * 400),
         ("quadrature", "--s", "1" + "0" * 400, "--n", "1"),
-    ], ids=["simulate-tail", "simulate-laplace", "quadrature"])
+        ("quadrature", "--s", "1,1e400", "--n", "3"),
+        ("simulate", "--suite", "tail", "--s", "1e400", "--n", "1"),
+        ("simulate", "--suite", "laplace", "--s", "1" + "0" * 400 + "/3"),
+    ], ids=["simulate-tail", "simulate-laplace", "quadrature", "quadrature-decimal",
+            "simulate-decimal", "simulate-ratio"])
     def test_s_beyond_float_range_is_usage_error(self, capsys, argv):
+        # s is finite, but its float is not: one message for every spelling
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "too large" in err
+        assert f"--s {argv[argv.index('--s') + 1].split(',')[-1]} is beyond the float64 range" in err
 
     @pytest.mark.parametrize("argv", [
         ("quadrature", "--s", "1/1" + "0" * 400, "--n", "3"),

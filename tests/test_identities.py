@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -363,32 +364,33 @@ class TestVerifyAndSweep:
         assert reports == expected
         assert all(r.equal for r in reports)
 
-    def test_sweep_builds_one_jet_per_s_and_n(self, monkeypatch):
+    def test_sweep_builds_one_jet_column_per_s(self, monkeypatch):
         calls = []
-        real = identities.eval_f_jet
+        real = identities._f_jet_column
 
-        def counting(s, n, order):
-            calls.append((s, n, order))
-            return real(s, n, order)
+        def counting(s, ns, order):
+            ns = list(ns)
+            calls.append((s, sorted(set(ns)), order))
+            return real(s, ns, order)
 
-        monkeypatch.setattr(identities, "eval_f_jet", counting)
+        monkeypatch.setattr(identities, "_f_jet_column", counting)
         s_grid = [Fraction(1, 7), Fraction(2), Fraction(10)]
         reports = sweep([IdentityId.TAIL_DERIVATIVE_FORM], s_grid, [3, 0, 5], [3, 1, 3, 2])
         assert len(reports) == 3 * 4 * 3
-        assert sorted(calls) == sorted((s, n, 2) for s in s_grid for n in (3, 0, 5))
+        assert sorted(calls) == sorted((s, [0, 3, 5], 2) for s in s_grid)
 
     def test_sweep_tail_routes_stay_independent(self, monkeypatch):
         # shifting the jet's value moves the derivative route only: the
         # conditioning route never reads the jet
-        real = identities.eval_f_jet
+        real = identities._f_jet_column
 
-        def shifted(s, n, order):
-            jet = real(s, n, order)
-            return Jet(jet.base_point, (jet.coeffs[0] + 1,) + jet.coeffs[1:])
+        def shifted(s, ns, order):
+            return {n: Jet(jet.base_point, (jet.coeffs[0] + 1,) + jet.coeffs[1:])
+                    for n, jet in real(s, ns, order).items()}
 
         grid = ([IdentityId.TAIL_DERIVATIVE_FORM], [Fraction(1, 2), Fraction(3)], [1, 4], [2, 5, 1])
         honest = sweep(*grid)
-        monkeypatch.setattr(identities, "eval_f_jet", shifted)
+        monkeypatch.setattr(identities, "_f_jet_column", shifted)
         broken = sweep(*grid)
         assert [r.rhs for r in broken] == [r.rhs for r in honest]
         assert [r.lhs for r in broken] == [r.lhs + 1 for r in honest]
@@ -459,24 +461,96 @@ def test_alternating_matches_fraction_sum(case, scales):
     # Each term k enters as the pair (g*num, g*den), g = scales[k]: lowest
     # terms when g = 1, and not in lowest terms otherwise.
     n, terms = case
-    expected = sum(c * t for (k, c), t in zip(identities._signed_binomials(n), terms))
+    expected = sum((-1) ** k * math.comb(n, k) * t for k, t in enumerate(terms))
     pairs = [(g * t.numerator, g * t.denominator) for g, t in zip(scales, terms)]
-    result = identities._alternating(n, pairs)
+    [result] = identities._binomial_sums([n], [pairs])[n]
     assert type(result) is Fraction
     assert result == expected
 
 
 @given(st.integers(1, 40), _TERMS)
 def test_alternating_cancels_constant_terms(n, term):
-    assert identities._alternating(n, [term.as_integer_ratio()] * (n + 1)) == 0
+    sums = identities._binomial_sums(range(1, n + 1), [[term.as_integer_ratio()] * (n + 1)])
+    assert sums == {k: [0] for k in range(1, n + 1)}
 
 
 def test_alternating_rejects_a_short_term_sequence():
     with pytest.raises(ValueError):
-        identities._alternating(3, [(1, 1)] * 3)
+        identities._binomial_sums([3], [[(1, 1)] * 3])
+    with pytest.raises(ValueError):  # one column short among several
+        identities._binomial_sums([1, 3], [[(1, 1)] * 4, [(1, 1)] * 5])
 
 
 def test_signed_binomials_match_math_comb():
     for n in range(61):
-        expected = [(k, (-1) ** k * math.comb(n, k)) for k in range(n + 1)]
-        assert list(identities._signed_binomials(n)) == expected
+        expected = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+        assert identities._signed_binomials(n) == expected
+
+
+B = identities._BLOCK
+
+
+@given(st.lists(st.sampled_from([0, 1, 5, B - 1, B, B + 1, 2 * B + 1, 3 * B + 2]) | st.integers(0, 3 * B + 2),
+                min_size=1, max_size=5),
+       st.integers(1, 3), st.integers(0, 2**32))
+@example([B - 1, B, B + 1, 2 * B + 1], 2, 0)
+@example([0, 3 * B + 2, 5, 5], 3, 1)
+def test_blocked_kernel_matches_fraction_sum(ns, width, seed):
+    # Random integer pairs, some sharing factors and some far past a machine
+    # word, against one Fraction per term; the grid may be sparse, unsorted
+    # and duplicated, and n may sit on either side of a block edge.
+    rng = random.Random(seed)
+    size = max(ns) + 1
+
+    def pair():
+        a = rng.choice([rng.randint(-9, 9), rng.randint(-2**90, 2**90)])
+        return a, rng.choice([rng.randint(1, 12), rng.randint(1, 2**70)])
+
+    columns = [[pair() for _ in range(size)] for _ in range(width)]
+    sums = identities._binomial_sums(ns, columns)
+    assert sorted(sums) == sorted(set(ns))
+    for n in ns:
+        expected = [sum((Fraction((-1) ** k * math.comb(n, k) * a, b)
+                         for k, (a, b) in enumerate(column[:n + 1])), Fraction(0))
+                    for column in columns]
+        assert sums[n] == expected
+        assert all(type(value) is Fraction for value in sums[n])
+
+
+_POOL_S = [Fraction(1, 7), Fraction(1), Fraction(5, 2), Fraction(951, 832), Fraction(1000, 3)]
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from(_POOL_S), min_size=1, max_size=3),
+       st.lists(st.integers(0, 12), min_size=1, max_size=4),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_sweep_matches_verify_on_random_grids(identity, s_grid, n_values, m_values):
+    # sweep evaluates each (identity, s) once for all n and m; every point
+    # must read as verifying it on its own, duplicated s and n included
+    if identity is IdentityId.GENERAL_M:
+        n_values = [n + 1 for n in n_values]
+    reports = sweep([identity], s_grid, n_values, m_values)
+    ms = m_values if identity in identities.USES_M else [1]
+    expected = sorted(
+        (verify(identity, IdentityParams(s, n, m)) for n in n_values for m in ms for s in s_grid),
+        key=lambda r: (r.params.n, r.params.m, r.params.s),
+    )
+    assert reports == expected
+    assert all(r.equal for r in reports)
+
+
+@pytest.mark.parametrize("route,bound_mb", [(tail_prob_via_derivatives, 25),
+                                            (tail_prob_via_conditioning, 5)])
+def test_large_n_tail_peak_memory_is_bounded(route, bound_mb):
+    # Blocks of terms on their own denominators keep memory linear in n.  The
+    # peaks here are about 10 MB and 1.3 MB; with one denominator over all
+    # 1001 terms they are about 110 MB and 12 MB.
+    tracemalloc.start()
+    try:
+        value = route(8, Fraction(951, 832), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < value < 1
+    assert peak < bound_mb * 2**20

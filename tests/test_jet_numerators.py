@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from binomax import identities
 from binomax.identities import eval_f_jet, eval_g_jet
-from binomax.jets import Jet, jet_constant, jet_variable
+from binomax.errors import MixedJets
+from binomax.jets import Jet, JetBlock, jet_constant, jet_variable
 
 
 def ref_add(a, b):
@@ -105,9 +106,73 @@ class TestEqualityAcrossPaths:
 
 def test_jet_route_never_calls_the_alternating_kernel(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the jet route must not use _alternating")
+        raise AssertionError("the jet route must not use the integer kernel")
 
-    monkeypatch.setattr(identities, "_alternating", forbidden)
+    monkeypatch.setattr(identities, "_binomial_sums", forbidden)
     s = Fraction(3, 2)
     f, g = eval_f_jet(s, 12, 4), eval_g_jet(s, 12, 4)
     assert f.value == g.value == identities.eval_basic_rhs(s, 12)
+    # a column spanning several blocks of term jets
+    column = identities._f_jet_column(s, [0, 12, 2 * identities._BLOCK + 1], 4)
+    assert column[12] == f
+    assert column[0].coeffs == (1, 0, 0, 0, 0)
+
+
+# Jets of orders 0..7 at a shared point, at no point, or now and then at
+# another point or of another order, so that + raises MixedJets.
+@st.composite
+def jet_lists(draw):
+    order = draw(st.integers(0, 7))
+    small = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    coefficient = st.one_of(small, big_rationals)
+    jets = []
+    for _ in range(draw(st.integers(1, 8))):
+        size = order + 1 if draw(st.integers(0, 15)) else draw(st.integers(1, 8))
+        point = draw(st.sampled_from([None, Fraction(2, 7), Fraction(2, 7), Fraction(5)]))
+        jets.append(Jet(point, tuple(draw(st.lists(coefficient, min_size=size, max_size=size)))))
+    weights = draw(st.lists(st.integers(-2**70, 2**70), min_size=len(jets), max_size=len(jets)))
+    return jets, weights
+
+
+def _loop_sum(weights, jets):
+    acc = weights[0] * jets[0]
+    for c, jet in zip(weights[1:], jets[1:]):
+        acc = acc + c * jet
+    return acc
+
+
+@given(jet_lists())
+def test_weighted_sum_equals_the_add_and_mul_loop(case):
+    jets, weights = case
+    try:
+        expected = _loop_sum(weights, jets)
+    except MixedJets:
+        with pytest.raises(MixedJets):
+            JetBlock(jets)
+        return
+    block = JetBlock(jets)
+    result = block.weighted_sum(weights)
+    assert result == expected
+    assert result.base_point == expected.base_point
+    assert_normalised(result)
+    # a prefix of the weights sums over the first jets only, at the block's point
+    prefix = block.weighted_sum(weights[:1])
+    assert prefix.coeffs == (weights[0] * jets[0]).coeffs
+    assert prefix.base_point == expected.base_point
+
+
+def test_weighted_sum_rejects_more_weights_than_jets():
+    block = JetBlock([jet_variable(Fraction(1, 3), 2)] * 2)
+    with pytest.raises(ValueError):
+        block.weighted_sum([1, 2, 3])
+    with pytest.raises(ValueError):
+        JetBlock([])
+
+
+@given(coefficient_pairs(), big_rationals)
+def test_taylor_sums_are_the_prefix_sums_of_the_coefficients(pair, h):
+    a, _ = pair
+    nums, den = Jet(None, a).taylor_sums(h)
+    prefix = [sum((c * h ** i for i, c in enumerate(a[:d + 1])), Fraction(0)) for d in range(len(a))]
+    assert den > 0
+    assert [Fraction(x, den) for x in nums] == prefix
