@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySequence,
@@ -99,7 +99,7 @@ def _check(s: Rational, n: int, m: int = 1) -> Fraction:
     """The one parameter check: s > 0, n >= 0, m >= 1, in that order.
 
     Returns s as a Fraction.  Every public evaluator and
-    :class:`IdentityParams` validate through here; the row evaluators
+    :class:`IdentityParams` validate through here; the row functions
     below take parameters already checked.
     """
     s = Fraction(check_positive(s))
@@ -108,10 +108,9 @@ def _check(s: Rational, n: int, m: int = 1) -> Fraction:
     return s
 
 
-# Evaluation by column: every n of a grid ns at one checked s.
-_Tails = dict[int, dict[int, Rational]]  # n -> {m: tail probability}, m in ms
-_Column = dict[int, tuple[Rational, Rational]]  # n -> (lhs, rhs)
-_Rows = dict[int, list[tuple[Rational, Rational]]]  # n -> one (lhs, rhs) per m in ms
+# Evaluation by column: every n of a grid ns and m of shapes ms at one checked s.
+_Tails = dict[int, dict[int, Rational]]  # n -> {m: tail probability}
+_Rows = dict[int, dict[int, tuple[Rational, Rational]]]  # n -> {m: (lhs, rhs)}
 
 
 #: Consecutive terms per block of the alternating-sum kernels.  Each block
@@ -286,11 +285,12 @@ def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
     :class:`InternalRouteMismatch` rather than returning either value.
     Result is in (0, 1], and equals 1 when n = 0.
     """
-    via_derivatives = tail_prob_via_derivatives(m, s, n)
-    via_conditioning = tail_prob_via_conditioning(m, s, n)
+    check_natural(m, "m", 1)
+    s = _check(s, n)
+    via_derivatives, via_conditioning = _tail_rows(s, [n], [m])[n][m]
     if via_derivatives != via_conditioning:
         raise InternalRouteMismatch(
-            f"tail probability routes disagree at m={m}, s={format_rational(Fraction(s))}, "
+            f"tail probability routes disagree at m={m}, s={format_rational(s)}, "
             f"n={n}: {via_derivatives} vs {via_conditioning}"
         )
     if not 0 < via_conditioning <= 1:
@@ -300,12 +300,30 @@ def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
     return via_conditioning
 
 
-def _reciprocal_sum(s: Fraction, js: range) -> Fraction:
-    """sum_{j in js} 1/(p + jq) for s = p/q, as one integer numerator over
-    prod_{j in js} (p + jq); so sum s/(s+j) is p times it and sum 1/(s+j) q times it."""
+def _product_side(s: Fraction, top: int) -> Iterator[tuple[int, int, int]]:
+    """For s = p/q and k = 0..top, the integers (a_k, h_k, d_k) with
+
+    a_k/d_k = prod_{j=1..k} j/(s+j)  and  h_k/d_k = sum_{j=0..k} s/(s+j),
+
+    over d_k = prod_{j=1..k} (p+jq): a_k = k! q^k, h_0 = 1 and
+    h_k = h_{k-1} (p+kq) + p d_{k-1}.
+    """
     p, q = s.numerator, s.denominator
-    den = prod(p + j * q for j in js)
-    return Fraction(sum(den // (p + j * q) for j in js), den)
+    a = h = d = 1
+    yield a, h, d
+    for k in range(1, top + 1):
+        e = p + k * q
+        a, h, d = a * k * q, h * e + p * d, d * e
+        yield a, h, d
+
+
+def _basic_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    """Both sides of the basic identity: the m = 1 conditioning tail and
+    the product prod_{k=1..n} k/(s+k)."""
+    ns = set(ns)
+    lhs = _conditioning_tails(s, ns, [1])
+    return {n: dict.fromkeys(ms, (lhs[n][1], Fraction(a, d)))
+            for n, (a, _, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
 def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -314,13 +332,14 @@ def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     lhs = sum (-1)^k C(n,k) (s/(s+k))^2
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
-    return _squared_column(_check(s, n), [n])[n]
+    return _sides(IdentityId.SQUARED, s, n)
 
 
-def _squared_column(s: Fraction, ns: Iterable[int]) -> _Column:
+def _squared_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    ns = set(ns)
     lhs = _conditioning_tails(s, ns, [2])
-    return {n: (tails[2], eval_basic_rhs(s, n) * s.numerator * _reciprocal_sum(s, range(n + 1)))
-            for n, tails in lhs.items()}
+    return {n: dict.fromkeys(ms, (lhs[n][2], Fraction(a * h, d * d)))
+            for n, (a, h, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
 def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
@@ -332,8 +351,7 @@ def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
     The right side comes through the density of the max, which exists
     only for n >= 1; at n = 0 it would be 0 while the left side is 1.
     """
-    report = verify(IdentityId.GENERAL_M, IdentityParams(s, n, m))
-    return report.lhs, report.rhs
+    return _sides(IdentityId.GENERAL_M, s, n, m)
 
 
 def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
@@ -351,20 +369,8 @@ def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
                          accumulate(repeat(d), mul)))
                 for d in range(p + q, p + max(ns) * q + 1, q)]
     sums = _binomial_sums([n - 1 for n in ns], [[g[m - 1] for g in partials] for m in shapes])
-    rows = {}
-    for n in ns:
-        rhs = dict(zip(shapes, sums[n - 1]))
-        scale = Fraction(n) / s
-        rows[n] = [(lhs[n][m], scale * rhs[m]) for m in ms]
-    return rows
-
-
-def _running_products(s: Fraction, top: int) -> list[tuple[int, int]]:
-    """prod_{j=1..k} j/(s+j), k = 0..top, as the integer pairs
-    (k! q^k, prod_{j=1..k} (p+jq)) for s = p/q."""
-    p, q = s.numerator, s.denominator
-    return list(zip(accumulate(range(q, top * q + 1, q), mul, initial=1),
-                    accumulate(range(p + q, p + top * q + 1, q), mul, initial=1)))
+    return {n: {m: (lhs[n][m], Fraction(n) / s * rhs) for m, rhs in zip(shapes, sums[n - 1])}
+            for n in ns}
 
 
 def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -375,13 +381,13 @@ def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
 
     with the k = 0 product empty, hence 1.
     """
-    return _inversion_first_column(_check(s, n), [n])[n]
+    return _sides(IdentityId.INVERSION_FIRST, s, n)
 
 
-def _inversion_first_column(s: Fraction, ns: Iterable[int]) -> _Column:
+def _inversion_first_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     ns = set(ns)
-    sums = _binomial_sums(ns, [_running_products(s, max(ns))])
-    return {n: (lhs, s / (s + n)) for n, (lhs,) in sums.items()}
+    lhs = _binomial_sums(ns, [((a, d) for a, _, d in _product_side(s, max(ns)))])
+    return {n: dict.fromkeys(ms, (value, s / (s + n))) for n, (value,) in lhs.items()}
 
 
 def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -390,20 +396,13 @@ def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
     lhs = sum_{k=0..n} (-1)^k C(n,k) [prod_{j=1..k} j/(s+j)] [sum_{i=0..k} s/(s+i)]
     rhs = (s/(s+n))^2
     """
-    return _inversion_second_column(_check(s, n), [n])[n]
+    return _sides(IdentityId.INVERSION_SECOND, s, n)
 
 
-def _inversion_second_column(s: Fraction, ns: Iterable[int]) -> _Column:
+def _inversion_second_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     ns = set(ns)
-    products = _running_products(s, max(ns))
-    p, q = s.numerator, s.denominator
-    # sum_{i=0..k} s/(s+i) = h_k / d_k over the products' denominators d_k,
-    # with h_0 = 1 and h_k = h_{k-1} (p+kq) + p d_{k-1}.
-    sums = [1]
-    for k, (_, d) in enumerate(products[:-1], 1):
-        sums.append(sums[-1] * (p + k * q) + p * d)
-    lhs = _binomial_sums(ns, [[(a * h, d * d) for (a, d), h in zip(products, sums)]])
-    return {n: (value, (s / (s + n)) ** 2) for n, (value,) in lhs.items()}
+    lhs = _binomial_sums(ns, [((a * h, d * d) for a, h, d in _product_side(s, max(ns)))])
+    return {n: dict.fromkeys(ms, (value, (s / (s + n)) ** 2)) for n, (value,) in lhs.items()}
 
 
 def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
@@ -415,20 +414,16 @@ def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
     The inner sum runs j = 1..n: it is the logarithmic derivative of the
     full product, as the jet oracle confirms.
     """
-    return _derivative_column(_check(s, n), [n])[n]
+    return _sides(IdentityId.DERIVATIVE_FG, s, n)
 
 
-def _derivative_column(s: Fraction, ns: Iterable[int]) -> _Column:
+def _derivative_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    # sum_{j=1..n} 1/(s+j) = (q/p) (h_n - d_n)/d_n, the j = 0 term of h_n/d_n being 1.
     ns = set(ns)
     p, q = s.numerator, s.denominator
     rhs = _binomial_sums(ns, [[(k * q * q, (p + k * q) ** 2) for k in range(max(ns) + 1)]])
-    return {n: (eval_basic_rhs(s, n) * q * _reciprocal_sum(s, range(1, n + 1)), -value)
-            for n, (value,) in rhs.items()}
-
-
-def _basic_column(s: Fraction, ns: Iterable[int]) -> _Column:
-    lhs = _conditioning_tails(s, ns, [1])
-    return {n: (tails[1], eval_basic_rhs(s, n)) for n, tails in lhs.items()}
+    return {n: dict.fromkeys(ms, (Fraction(a * (h - d) * q, p * d * d), -rhs[n][0]))
+            for n, (a, h, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
 def _tail_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
@@ -437,7 +432,7 @@ def _tail_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     ns = set(ns)
     via_derivatives = _derivative_tails(s, ns, ms)
     via_conditioning = _conditioning_tails(s, ns, ms)
-    return {n: [(via_derivatives[n][m], via_conditioning[n][m]) for m in ms] for n in ns}
+    return {n: {m: (via_derivatives[n][m], via_conditioning[n][m]) for m in ms} for n in ns}
 
 
 def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
@@ -452,30 +447,20 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
     return [sums[n][0] for n in range(len(pairs))]
 
 
-# A row evaluator maps a checked s, a grid ns and shapes ms to _Rows.  The
-# lambdas look names up at call time, so a replaced module attribute (a test
-# double, a tracer) is the one that runs.
-_RowEvaluator = Callable[[Fraction, Sequence[int], Sequence[int]], _Rows]
-
-
-def _each_m(column: _Column, ms: Sequence[int]) -> _Rows:
-    """The rows of an identity that does not depend on m."""
-    return {n: [row] * len(ms) for n, row in column.items()}
-
-
-_ROWS: dict[IdentityId, _RowEvaluator] = {
-    IdentityId.BASIC: lambda s, ns, ms: _each_m(_basic_column(s, ns), ms),
-    IdentityId.SQUARED: lambda s, ns, ms: _each_m(_squared_column(s, ns), ms),
-    IdentityId.GENERAL_M: lambda s, ns, ms: _general_m_rows(s, ns, ms),
-    IdentityId.INVERSION_FIRST: lambda s, ns, ms: _each_m(_inversion_first_column(s, ns), ms),
-    IdentityId.INVERSION_SECOND: lambda s, ns, ms: _each_m(_inversion_second_column(s, ns), ms),
-    IdentityId.DERIVATIVE_FG: lambda s, ns, ms: _each_m(_derivative_column(s, ns), ms),
-    IdentityId.TAIL_DERIVATIVE_FORM: lambda s, ns, ms: _tail_rows(s, ns, ms),
+# Each identity's one row function: (checked s, grid ns, shapes ms) -> _Rows.
+_ROWS: dict[IdentityId, Callable[..., _Rows]] = {
+    IdentityId.BASIC: _basic_rows,
+    IdentityId.SQUARED: _squared_rows,
+    IdentityId.GENERAL_M: _general_m_rows,
+    IdentityId.INVERSION_FIRST: _inversion_first_rows,
+    IdentityId.INVERSION_SECOND: _inversion_second_rows,
+    IdentityId.DERIVATIVE_FG: _derivative_rows,
+    IdentityId.TAIL_DERIVATIVE_FORM: _tail_rows,
 }
 
 
-def _row_evaluator(identity: IdentityId, n: int) -> _RowEvaluator:
-    """The row evaluator of an identity, once n is in its domain."""
+def _row_evaluator(identity: IdentityId, n: int) -> Callable[..., _Rows]:
+    """The row function of an identity, once n is in its domain."""
     try:
         evaluate = _ROWS[identity]
     except (KeyError, TypeError):
@@ -491,9 +476,15 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     Invalid parameters raise (propagated from the evaluators); they are
     never coerced.
     """
-    n = params.n
-    [(lhs, rhs)] = _row_evaluator(identity, n)(params.s, [n], [params.m])[n]
+    n, m = params.n, params.m
+    lhs, rhs = _row_evaluator(identity, n)(params.s, [n], [m])[n][m]
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
+
+
+def _sides(identity: IdentityId, s: Rational, n: int, m: int = 1) -> tuple[Rational, Rational]:
+    """Both sides of one identity at one point, through :func:`verify`."""
+    report = verify(identity, IdentityParams(s, n, m))
+    return report.lhs, report.rhs
 
 
 def default_n_values(identity: IdentityId) -> range:
@@ -538,10 +529,9 @@ def sweep(
             plan.append((identity, evaluate, ns, ms, points))
     reports: list[VerificationReport] = []
     for identity, evaluate, ns, ms, points in plan:
-        columns = {s: evaluate(s, ns, ms) for s in dict.fromkeys(p.s for p in points)}
-        slot = {m: i for i, m in enumerate(ms)}
+        rows = {s: evaluate(s, ns, ms) for s in dict.fromkeys(p.s for p in points)}
         for p in points:
-            lhs, rhs = columns[p.s][p.n][slot[p.m]]
+            lhs, rhs = rows[p.s][p.n][p.m]
             reports.append(VerificationReport(identity=identity, params=p, lhs=lhs, rhs=rhs))
     reports.sort(key=lambda r: (_RANK[r.identity], r.params.n, r.params.m, r.params.s))
     return reports

@@ -63,11 +63,13 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--identity", "nope")
         assert code == EXIT_USAGE
 
-    def test_mismatch_exits_two(self, capsys, monkeypatch):
-        # force a wrong right side to exercise the failure path
-        monkeypatch.setattr(identities, "eval_basic_rhs", lambda s, n: 0)
+    @pytest.mark.parametrize("identity", ["basic", "squared", "inversion_first",
+                                          "inversion_second", "derivative_fg"])
+    def test_mismatch_exits_two(self, capsys, monkeypatch, identity):
+        # a wrong product side (every product 0) fails each identity built on it
+        monkeypatch.setattr(identities, "_product_side", lambda s, top: [(0, 1, 1)] * (top + 1))
         code, report, _ = run_json(
-            capsys, "verify", "--identity", "basic", "--s", "1", "--n", "2")
+            capsys, "verify", "--identity", identity, "--s", "1", "--n", "2")
         assert code == EXIT_FAILURE
         assert report["rows"][0]["equal"] is False
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from binomax import identities
 from binomax.errors import (
     EmptySequence,
+    InternalRouteMismatch,
     NonPositiveS,
     NRequired,
     UnknownIdentity,
@@ -36,6 +37,7 @@ from binomax.identities import (
     verify,
 )
 from binomax.jets import Jet
+from binomax.montecarlo import MIN_SAMPLES, RngConfig, estimate_tail_prob
 
 ONE = Fraction(1)
 SMALL_S = [Fraction(1, 7), Fraction(1), Fraction(3, 2), Fraction(10)]
@@ -395,6 +397,21 @@ class TestVerifyAndSweep:
         assert [r.rhs for r in broken] == [r.rhs for r in honest]
         assert [r.lhs for r in broken] == [r.lhs + 1 for r in honest]
 
+    def test_tail_route_mismatch_raises(self, monkeypatch):
+        # a defect in the derivative route alone: tail_prob_exact must refuse
+        # to return either value, and the Monte Carlo reference passes it on
+        real = identities._f_jet_column
+
+        def shifted(s, ns, order):
+            return {n: Jet(jet.base_point, (jet.coeffs[0] + 1,) + jet.coeffs[1:])
+                    for n, jet in real(s, ns, order).items()}
+
+        monkeypatch.setattr(identities, "_f_jet_column", shifted)
+        with pytest.raises(InternalRouteMismatch, match="routes disagree at m=2, s=1/2, n=3"):
+            tail_prob_exact(2, Fraction(1, 2), 3)
+        with pytest.raises(InternalRouteMismatch):
+            estimate_tail_prob(2, Fraction(1, 2), 3, MIN_SAMPLES, RngConfig(1, 0))
+
     def test_sweep_first_invalid_point_raises_as_per_point(self):
         # points are met in (identity, n, m, s) order; the first bad one
         # decides the error, its own parameters before the identity's domain
@@ -553,4 +570,20 @@ def test_large_n_tail_peak_memory_is_bounded(route, bound_mb):
     finally:
         tracemalloc.stop()
     assert 0 < value < 1
+    assert peak < bound_mb * 2**20
+
+
+@pytest.mark.parametrize("evaluate,bound_mb", [(eval_inversion_first, 3),
+                                               (eval_inversion_second, 6)])
+def test_large_n_inversion_peak_memory_is_bounded(evaluate, bound_mb):
+    # The product-side terms stream into the blocked kernel.  The peaks here
+    # are about 1.6 MB and 3.2 MB; with every term held in a list before
+    # blocking they are about 3.8 MB and 10.8 MB.
+    tracemalloc.start()
+    try:
+        lhs, rhs = evaluate(Fraction(951, 832), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lhs == rhs
     assert peak < bound_mb * 2**20
