@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import InsufficientSamples, ToleranceNotMet
 from .exact import check_natural, check_positive, format_rational, parse_rational
-from .identities import DEFAULT_S_GRID, IdentityId, eval_basic_rhs, sweep
+from .identities import DEFAULT_S_GRID, IdentityId, _basic_rhs_pair, sweep
 from .montecarlo import (
     MIN_SAMPLES,
     RngConfig,
@@ -199,7 +199,8 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
     rows = []
     for n in sorted(set(n_values)):
         for s in sorted(set(s_values)):
-            exact = float(eval_basic_rhs(Fraction(s), n))
+            num, den = _basic_rhs_pair(s, n)
+            exact = num / den  # correctly rounded: float(eval_basic_rhs(s, n)) without the gcd
             row = {
                 "s": s, "n": n, "exact": exact,
                 "cdf_value": None, "cdf_abs_error": None, "cdf_evaluations": None,

@@ -184,9 +184,16 @@ def eval_basic_rhs(s: Rational, n: int) -> Rational:
 
     For s = p/q that is the integer ratio  n! q^n / prod_{k=1..n} (p+kq).
     """
+    return Fraction(*_basic_rhs_pair(s, n))
+
+
+def _basic_rhs_pair(s: Rational, n: int) -> tuple[int, int]:
+    """The product form as the integer pair (n! q^n, prod_{k=1..n} (p+kq)),
+    not reduced: a float reference reads it as num / den, which is correctly
+    rounded, without the gcd that a Fraction costs."""
     s = _check(s, n)
     p, q = s.numerator, s.denominator
-    return Fraction(factorial(n) * q ** n, prod(range(p + q, p + n * q + 1, q)))
+    return factorial(n) * q ** n, prod(range(p + q, p + n * q + 1, q))
 
 
 def eval_f_jet(s: Rational, n: int, order: int) -> Jet:

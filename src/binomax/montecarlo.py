@@ -51,8 +51,17 @@ class RngConfig:
 
 def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws from the open interval (0, 1)."""
-    k = rng.integers(1, _U53, size=size, dtype=np.uint64)
-    return k.astype(np.float64) / _U53
+    return _uniforms_into(rng, np.empty(size))
+
+
+def _uniforms_into(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with k/2^53 for fresh draws k in [1, 2^53), and return it.
+
+    k < 2^53 converts to float64 exactly and scaling by a power of two is
+    exact, so this equals k/2^53 without a float temporary.
+    """
+    k = rng.integers(1, _U53, size=out.size, dtype=np.uint64)
+    return np.multiply(k, 2.0 ** -53, out=out, casting="unsafe")
 
 
 def _check_n(n: int) -> int:
@@ -64,19 +73,26 @@ def _check_n(n: int) -> int:
 
 
 def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndarray:
-    """``reduce`` applied to each row of a size x k matrix of unit-rate
-    exponential draws -log(u), as one length-``size`` vector.
+    """Row reductions of a size x k matrix of unit-rate exponential draws
+    -log(u), as one length-``size`` vector.
 
-    The matrix is drawn _CHUNK_ROWS rows at a time, so memory is bounded by
-    the output and one block.  Philox draws come out in sequence and each
-    row's reduction reads only that row, so the values are bit-identical to
-    reducing the whole matrix at once.
+    ``reduce(logs, out)`` gets one block of log(u) = -(the draws), which it
+    may overwrite, and writes each row's reduction into ``out``; the output
+    is negated once at the end.  Negation is exact and commutes with max
+    (max(-x) = -min x), division and round-to-nearest sums, so the result
+    is bit-identical to reducing the draws themselves.  The matrix is drawn
+    _CHUNK_ROWS rows at a time into one reused buffer, so memory is bounded
+    by the output and one block.  Philox draws come out in sequence and
+    each row's reduction reads only that row, so the values are also
+    bit-identical to reducing the whole matrix at once.
     """
     out = np.empty(size)
+    buf = np.empty(min(size, _CHUNK_ROWS) * k)
     for start in range(0, size, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, size - start)
-        out[start:start + rows] = reduce(-np.log(uniform_open(rng, rows * k).reshape(rows, k)))
-    return out
+        logs = np.log(_uniforms_into(rng, buf[:rows * k]), out=buf[:rows * k])
+        reduce(logs.reshape(rows, k), out[start:start + rows])
+    return np.negative(out, out=out)
 
 
 def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -84,24 +100,35 @@ def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
     return sample_gamma_integer(1, rate, rng, size)
 
 
+def _row_min(logs: np.ndarray, out: np.ndarray) -> None:
+    """Row minima as one reduceat over the flat block, which is faster than
+    ``min(axis=1)`` on short rows; a min is exact in any order."""
+    np.minimum.reduceat(logs.ravel(), np.arange(0, logs.size, logs.shape[1]), out=out)
+
+
+def _row_sums_over(divisor):
+    """The reduction to row sums of logs / divisor, dividing in place."""
+    return lambda logs, out: np.divide(logs, divisor, out=logs).sum(axis=1, out=out)
+
+
 def sample_max_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Max of n independent unit-rate exponential draws, ``size`` times."""
     _check_n(n)
-    return _reduced_exp(rng, size, n, lambda e: e.max(axis=1))
+    return _reduced_exp(rng, size, n, _row_min)
 
 
 def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sum of independent draws Exp(1) + Exp(2) + ... + Exp(n), ``size`` times."""
     _check_n(n)
     rates = np.arange(1, n + 1, dtype=np.float64)
-    return _reduced_exp(rng, size, n, lambda e: (e / rates).sum(axis=1))
+    return _reduced_exp(rng, size, n, _row_sums_over(rates))
 
 
 def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Integer-shape gamma draws: the sum of m independent rate-s exponentials."""
     check_natural(m, "m", 1)
     s = check_positive(float(s))
-    return _reduced_exp(rng, size, m, lambda e: (e / s).sum(axis=1))
+    return _reduced_exp(rng, size, m, _row_sums_over(s))
 
 
 @dataclass(frozen=True)
@@ -181,6 +208,14 @@ def _kolmogorov_sf(lam: float) -> float:
 
     Terms below 1e-12 are dropped; below lam = 0.2 the value is 1 to
     within that truncation error, which also covers lam = 0 exactly.
+
+    This is the limit as the sample sizes grow, and the finite-size law
+    approaches it slowly (Marsaglia, Tsang & Wang, "Evaluating
+    Kolmogorov's distribution", J. Stat. Softw. 8(18), 2003, who give an
+    exact method for the one-sample case).  Against SciPy's exact law for
+    two equal samples, the series at the 0.01 gate reads 2.7% high at 100
+    points per side, 0.2% at 1000 and 0.02% at 10^4: accurate at the CLI's
+    sizes (>= 10^4 per side), and slightly conservative near the floor.
     """
     if lam < 0.2:
         return 1.0
@@ -203,13 +238,17 @@ def ks_two_sample(xs, ys) -> KsResult:
     The statistic is the exact supremum gap between the two empirical
     CDFs, evaluated right-continuously at every observed value so tied
     values are fully counted before the gap is read.  The p-value uses
-    the asymptotic distribution at effective size n1*n2/(n1+n2).
+    the asymptotic distribution at effective size n1*n2/(n1+n2).  Samples
+    must be finite: ValueError otherwise.
     """
     xs = np.sort(np.asarray(xs, dtype=np.float64))
     ys = np.sort(np.asarray(ys, dtype=np.float64))
     n1, n2 = len(xs), len(ys)
     if n1 < MIN_KS_SAMPLES or n2 < MIN_KS_SAMPLES:
         raise TooFewSamples(f"need >= {MIN_KS_SAMPLES} samples per side, got {n1} and {n2}")
+    # sorted, a nan or +inf is last and a -inf first; a nan is never counted
+    if not np.isfinite([xs[0], xs[-1], ys[0], ys[-1]]).all():
+        raise ValueError("ks_two_sample needs finite samples")
     statistic = 0.0
     for points in (xs, ys):  # _CHUNK_ROWS points at a time; max is exact
         for start in range(0, len(points), _CHUNK_ROWS):

@@ -57,15 +57,10 @@ def adaptive_simpson(
     2^_MIN_DEPTH panels first.  Raises :class:`ToleranceNotMet` once an
     interval still fails its tolerance at ``max_depth`` subdivisions.
     """
-    count = 0
-
-    def ev(x: float) -> float:
-        nonlocal count
-        count += 1
-        return f(x)
-
-    def simpson(lo: float, flo: float, fmid: float, hi: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    if a == b:
+        f(a)
+        return QuadratureResult(0.0, 0.0, 1)
+    refines = 0  # each refine evaluates f twice, the first look three times
 
     def refine(
         lo: float,
@@ -78,34 +73,36 @@ def adaptive_simpson(
         budget: float,
         depth: int,
     ) -> tuple[float, float]:
+        nonlocal refines
+        refines += 1
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
-        flm = ev(lm)
-        frm = ev(rm)
-        left = simpson(lo, flo, flm, mid, fmid)
-        right = simpson(mid, fmid, frm, hi, fhi)
-        err = (left + right - whole) / 15.0
+        flm = f(lm)
+        frm = f(rm)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        both = left + right
+        err = (both - whole) / 15.0
         if depth >= _MIN_DEPTH and abs(err) <= budget:
-            return left + right + err, abs(err)
+            return both + err, abs(err)
         if depth >= max_depth:
             raise ToleranceNotMet(
                 f"interval [{lo:g}, {hi:g}] still above tolerance after "
                 f"{max_depth} subdivisions"
             )
-        lv, le = refine(lo, flo, lm, flm, mid, fmid, left, budget / 2.0, depth + 1)
-        rv, re = refine(mid, fmid, rm, frm, hi, fhi, right, budget / 2.0, depth + 1)
+        budget /= 2.0
+        depth += 1
+        lv, le = refine(lo, flo, lm, flm, mid, fmid, left, budget, depth)
+        rv, re = refine(mid, fmid, rm, frm, hi, fhi, right, budget, depth)
         return lv + rv, le + re
 
-    if a == b:
-        ev(a)
-        return QuadratureResult(0.0, 0.0, count)
-    fa = ev(a)
-    fb = ev(b)
+    fa = f(a)
+    fb = f(b)
     mid = 0.5 * (a + b)
-    fmid = ev(mid)
-    whole = simpson(a, fa, fmid, b, fb)
+    fmid = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
     value, err = refine(a, fa, mid, fmid, b, fb, whole, float(tol), 0)
-    return QuadratureResult(value, err, count)
+    return QuadratureResult(value, err, 3 + 2 * refines)
 
 
 def _check_route_args(s: float, n: int, tol: float, density: bool) -> tuple[float, float]:
@@ -130,9 +127,10 @@ def laplace_via_cdf_quadrature(s: float, n: int, tol: float) -> QuadratureResult
     """
     s, tol = _check_route_args(s, n, tol, density=False)
     cutoff = math.log(2.0 / tol) / s
+    exp = math.exp
 
     def integrand(t: float) -> float:
-        return s * (1.0 - math.exp(-t)) ** n * math.exp(-s * t)
+        return s * (1.0 - exp(-t)) ** n * exp(-s * t)
 
     base = adaptive_simpson(integrand, 0.0, cutoff, tol / 2.0)
     tail_bound = math.exp(-s * cutoff)

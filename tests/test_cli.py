@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import filecmp
 import io
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from binomax import cli, identities
 from binomax.cli import (
@@ -120,6 +123,22 @@ class TestQuadratureCommand:
         assert row["exact"] == "0"
         assert row["note"] == "exact: below the float64 range, not checked"
         assert row["pass"] is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(1e-3, 1e3), n=st.integers(0, 3000))
+    @example(s=1000.0, n=310)  # a subnormal exact value
+    @example(s=1000.0, n=1000)  # an exact value below the float64 range
+    def test_exact_column_is_the_fraction_float(self, s, n):
+        # num / den over the unreduced pair must round as the Fraction does
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["quadrature", "--s", repr(s), "--n", str(n), "--tol", "0.01"])
+        (row,) = json.loads(out.getvalue())["rows"]
+        exact = float(identities.eval_basic_rhs(Fraction(s), n))
+        assert row["exact"] == format(exact, ".17g")
+        if exact == 0:
+            assert row["note"].startswith("exact: below the float64 range")
+            assert row["pass"] is False
 
     def test_tolerance_floor(self, capsys):
         code, _, err = run_cli(capsys, "quadrature", "--tol", "1e-20")

@@ -143,9 +143,11 @@ class TestSamplerBits:
                                       3 * _CHUNK_ROWS + 5])
     def test_blocked_draws_equal_the_whole_matrix(self, size, k):
         def whole_matrix(stream):
-            # the size x k matrix drawn at once, as the samplers did before blocking
+            # the size x k matrix drawn at once, as the samplers did before
+            # blocking, with the uniforms' arithmetic written out
             rng = RngConfig(2026, stream).generator()
-            return -np.log(uniform_open(rng, size * k).reshape(size, k))
+            draws = rng.integers(1, 2**53, size=size * k, dtype=np.uint64)
+            return -np.log(draws.astype(np.float64) / 2**53).reshape(size, k)
 
         rates = np.arange(1, k + 1, dtype=np.float64)
         cases = [
@@ -302,6 +304,18 @@ class TestKsTwoSample:
         finally:
             tracemalloc.stop()
         assert peak <= sorted_copies + 8 * block
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_non_finite_samples_rejected(self, bad, side):
+        # a nan sorts last and is never counted: one among 200 ys read
+        # statistic 0.005 and p = 1.0, a vacuous pass
+        clean = np.arange(200.0)
+        dirty = clean.copy()
+        dirty[17] = bad
+        xs, ys = (dirty, clean) if side == "xs" else (clean, dirty)
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample(xs, ys)
 
     def test_tie_handling_matches_scipy(self):
         xs = np.repeat([0.0, 1.0, 2.0, 3.0], 50)

@@ -3,14 +3,91 @@ from fractions import Fraction
 
 import pytest
 
+from binomax import quadrature
 from binomax.errors import NonPositiveS, NRequired, ToleranceNotMet
 from binomax.identities import eval_basic_rhs
 from binomax.quadrature import (
+    _MAX_DEPTH,
+    _MIN_DEPTH,
     TOLERANCE_FLOOR,
+    QuadratureResult,
     adaptive_simpson,
     laplace_via_cdf_quadrature,
     laplace_via_density_quadrature,
 )
+
+
+def oracle_simpson(f, a, b, tol, max_depth=_MAX_DEPTH):
+    """The recursive adaptive Simpson rule with a counting closure and a
+    ``simpson`` helper, as written before the lean rewrite: the oracle that
+    ``adaptive_simpson`` must equal bit for bit."""
+    count = 0
+
+    def ev(x):
+        nonlocal count
+        count += 1
+        return f(x)
+
+    def simpson(lo, flo, fmid, hi, fhi):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def refine(lo, flo, mid, fmid, hi, fhi, whole, budget, depth):
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        flm = ev(lm)
+        frm = ev(rm)
+        left = simpson(lo, flo, flm, mid, fmid)
+        right = simpson(mid, fmid, frm, hi, fhi)
+        err = (left + right - whole) / 15.0
+        if depth >= _MIN_DEPTH and abs(err) <= budget:
+            return left + right + err, abs(err)
+        if depth >= max_depth:
+            raise ToleranceNotMet(
+                f"interval [{lo:g}, {hi:g}] still above tolerance after "
+                f"{max_depth} subdivisions"
+            )
+        lv, le = refine(lo, flo, lm, flm, mid, fmid, left, budget / 2.0, depth + 1)
+        rv, re = refine(mid, fmid, rm, frm, hi, fhi, right, budget / 2.0, depth + 1)
+        return lv + rv, le + re
+
+    if a == b:
+        ev(a)
+        return QuadratureResult(0.0, 0.0, count)
+    fa = ev(a)
+    fb = ev(b)
+    mid = 0.5 * (a + b)
+    fmid = ev(mid)
+    whole = simpson(a, fa, fmid, b, fb)
+    value, err = refine(a, fa, mid, fmid, b, fb, whole, float(tol), 0)
+    return QuadratureResult(value, err, count)
+
+
+# The two routes' integrands as written before the lean rewrite.
+def cdf_integrand(s, n):
+    return lambda t: s * (1.0 - math.exp(-t)) ** n * math.exp(-s * t)
+
+
+def density_integrand(s, n):
+    return lambda w: n * (1.0 - w) ** s * w ** (n - 1)
+
+
+def bits(result):
+    return result.value.hex(), result.estimated_error.hex(), result.evaluations
+
+
+@pytest.fixture
+def simpson_calls(monkeypatch):
+    """Record each route's (a, b, tol) and result from ``adaptive_simpson``."""
+    calls = []
+
+    def spy(f, a, b, tol):
+        call = {"args": (a, b, tol)}
+        calls.append(call)  # before the call, so a raising call is recorded too
+        call["result"] = adaptive_simpson(f, a, b, tol)
+        return call["result"]
+
+    monkeypatch.setattr(quadrature, "adaptive_simpson", spy)
+    return calls
 
 
 class TestAdaptiveSimpson:
@@ -39,6 +116,35 @@ class TestAdaptiveSimpson:
         with pytest.raises(ToleranceNotMet):
             adaptive_simpson(lambda x: math.sqrt(abs(x - 1 / math.pi)), 0.0, 1.0,
                              1e-13, max_depth=3)
+
+
+class TestAgainstTheRecursiveOracle:
+    @pytest.mark.parametrize("route,integrand", [
+        (laplace_via_cdf_quadrature, cdf_integrand),
+        (laplace_via_density_quadrature, density_integrand),
+    ], ids=["cdf", "density"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 120, 1000, 5000])
+    def test_same_value_error_and_evaluations(self, simpson_calls, route, integrand, n):
+        for s in (0.5, 1.0, 2.0, 10.0, 1.557):
+            route(s, n, 1e-12)
+            call = simpson_calls.pop()
+            expected = oracle_simpson(integrand(s, n), *call["args"])
+            assert bits(call["result"]) == bits(expected)
+
+    def test_empty_interval(self):
+        seen = []
+        result = adaptive_simpson(seen.append, 1.5, 1.5, 1e-10)
+        expected = oracle_simpson(math.exp, 1.5, 1.5, 1e-10)
+        assert bits(result) == bits(expected) == ("0x0.0p+0", "0x0.0p+0", 1)
+        assert seen == [1.5]
+
+    def test_same_tolerance_not_met_message(self, simpson_calls):
+        with pytest.raises(ToleranceNotMet) as ours:
+            laplace_via_cdf_quadrature(1e-20, 3, 1e-10)
+        with pytest.raises(ToleranceNotMet) as oracle:
+            oracle_simpson(cdf_integrand(1e-20, 3), *simpson_calls.pop()["args"])
+        assert str(ours.value) == str(oracle.value) == (
+            "interval [0, 2057.3] still above tolerance after 60 subdivisions")
 
 
 class TestCdfRoute:
