@@ -152,12 +152,6 @@ def _parse_rational_loose(text: str) -> Fraction:
     return s
 
 
-def _resolve_seed(seed_arg: int | None) -> int:
-    if seed_arg is not None:
-        return seed_arg
-    return int(os.environ.get(SEED_ENV_VAR, 0))
-
-
 def _cmd_verify(args) -> tuple[dict, list[dict], bool]:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
     s_grid = [parse_rational(tok) for tok in args.s.split(",")] if args.s else list(DEFAULT_S_GRID)
@@ -233,7 +227,13 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {text!r}") from None
     samples = args.samples
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(f"--samples must be >= {MIN_SAMPLES}, got {samples}")

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and the combinatorial primitives built on it.
+"""Exact rational arithmetic: the value type, its string I/O and the argument checks.
 
 ``Rational`` is the universal exact value type of the package.  It is the
 standard-library ``fractions.Fraction``, which already guarantees the
@@ -73,8 +73,3 @@ def check_positive(value, name: str = "s"):
         shown = format_rational(value) if exact else repr(value)
         raise NonPositiveS(f"{name} must be finite and > 0, got {shown}")
     return value
-
-
-def factorial(n: int) -> int:
-    """n! exactly, with 0! = 1."""
-    return math.factorial(check_natural(n, "n"))

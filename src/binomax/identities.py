@@ -239,11 +239,12 @@ def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
 
 
 def _derivative_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tails:
-    """Derivative-route tail probability for every n in ns and m in ms.
+    """P(gamma(s, m) > the max of n unit exponentials), derivative route, every n in ns, m in ms.
 
-    The tail for shape m is  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s),
-    and s^k/k! * f^(k)(s) = s^k * coeffs[k], so the tails are the Taylor
-    sums at displacement -s of one jet of f of order max(ms) - 1 per n.
+    The tail for shape m is  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s),  where
+    f is the transform of the max and the jet supplies the exact derivatives:
+    s^k/k! * f^(k)(s) = s^k * coeffs[k], so the tails are the Taylor sums at
+    displacement -s of one jet of f of order max(ms) - 1 per n.
     """
     tails, shapes = {}, set(ms)
     for n, jet in _f_jet_column(s, ns, max(shapes) - 1).items():
@@ -253,7 +254,7 @@ def _derivative_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tai
 
 
 def _conditioning_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tails:
-    """Conditioning-route tail probability for every n in ns and m in ms:
+    """The same tail probability by conditioning on the gamma variable, every n in ns, m in ms:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m; for s = p/q, term k is the
     integer pair (p^m, (p+kq)^m), one column per distinct m.
@@ -265,25 +266,6 @@ def _conditioning_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _T
     return {n: dict(zip(shapes, row)) for n, row in sums.items()}
 
 
-def tail_prob_via_derivatives(m: int, s: Rational, n: int) -> Rational:
-    """P(gamma(s, m) exceeds the max of n unit exponentials), derivative route.
-
-    Equals  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s)  where f is the
-    transform of the max; the jet supplies the exact derivatives.
-    """
-    check_natural(m, "m", 1)  # m before s and n, as the arguments run
-    return _derivative_tails(_check(s, n), [n], [m])[n][m]
-
-
-def tail_prob_via_conditioning(m: int, s: Rational, n: int) -> Rational:
-    """Same tail probability by conditioning on the gamma variable:
-
-    sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m.
-    """
-    check_natural(m, "m", 1)
-    return _conditioning_tails(_check(s, n), [n], [m])[n][m]
-
-
 def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
     """Exact P(T_m > X_(n)) with the two routes computed and cross-checked.
 
@@ -292,7 +274,7 @@ def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
     :class:`InternalRouteMismatch` rather than returning either value.
     Result is in (0, 1], and equals 1 when n = 0.
     """
-    check_natural(m, "m", 1)
+    check_natural(m, "m", 1)  # m before s and n, as the arguments run
     s = _check(s, n)
     via_derivatives, via_conditioning = _tail_rows(s, [n], [m])[n][m]
     if via_derivatives != via_conditioning:
@@ -333,37 +315,26 @@ def _basic_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
             for n, (a, _, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
-def eval_squared_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
+def _squared_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     """Both sides of the squared-term identity:
 
     lhs = sum (-1)^k C(n,k) (s/(s+k))^2
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
-    return _sides(IdentityId.SQUARED, s, n)
-
-
-def _squared_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     ns = set(ns)
     lhs = _conditioning_tails(s, ns, [2])
     return {n: dict.fromkeys(ms, (lhs[n][2], Fraction(a * h, d * d)))
             for n, (a, h, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
-def eval_general_m(s: Rational, n: int, m: int) -> tuple[Rational, Rational]:
-    """Both sides of the general gamma-shape identity (n >= 1):
+def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    """Both sides of the general gamma-shape identity for every n in ns and m in ms:
 
     lhs = sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m
     rhs = (n/s) sum_{k=0..m-1} sum_{j=0..n-1} (-1)^j C(n-1,j) (s/(s+j+1))^(k+1)
 
     The right side comes through the density of the max, which exists
     only for n >= 1; at n = 0 it would be 0 while the left side is 1.
-    """
-    return _sides(IdentityId.GENERAL_M, s, n, m)
-
-
-def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
-    """Both sides of the general-m identity for every n >= 1 in ns and m in ms.
-
     For s = p/q and d = p + (j+1)q, the partial sums g_j(m) = sum_{i=1..m} (p/d)^i
     are the pairs (h_m, d^m), h_m = d h_{m-1} + p^m, built once per j;
     each m's right side at n is the alternating sum of them at n - 1.
@@ -380,52 +351,38 @@ def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
             for n in ns}
 
 
-def eval_inversion_first(s: Rational, n: int) -> tuple[Rational, Rational]:
-    """Binomial inversion of the basic identity:
+def _inversion_first_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+    """Binomial inversion of the basic identity (the k = 0 product is empty, hence 1):
 
     lhs = sum_{k=0..n} (-1)^k C(n,k) prod_{j=1..k} j/(s+j)
     rhs = s/(s+n)
-
-    with the k = 0 product empty, hence 1.
     """
-    return _sides(IdentityId.INVERSION_FIRST, s, n)
-
-
-def _inversion_first_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     ns = set(ns)
     lhs = _binomial_sums(ns, [((a, d) for a, _, d in _product_side(s, max(ns)))])
     return {n: dict.fromkeys(ms, (value, s / (s + n))) for n, (value,) in lhs.items()}
 
 
-def eval_inversion_second(s: Rational, n: int) -> tuple[Rational, Rational]:
+def _inversion_second_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     """Binomial inversion of the squared identity:
 
     lhs = sum_{k=0..n} (-1)^k C(n,k) [prod_{j=1..k} j/(s+j)] [sum_{i=0..k} s/(s+i)]
     rhs = (s/(s+n))^2
     """
-    return _sides(IdentityId.INVERSION_SECOND, s, n)
-
-
-def _inversion_second_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     ns = set(ns)
     lhs = _binomial_sums(ns, [((a * h, d * d) for a, h, d in _product_side(s, max(ns)))])
     return {n: dict.fromkeys(ms, (value, (s / (s + n)) ** 2)) for n, (value,) in lhs.items()}
 
 
-def eval_derivative_identity(s: Rational, n: int) -> tuple[Rational, Rational]:
+def _derivative_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     """The first-derivative identity (both sides equal -g'(s) = -f'(s)):
 
     lhs = prod_{k=1..n} k/(s+k) * sum_{j=1..n} 1/(s+j)
     rhs = sum_{k=0..n} (-1)^(k+1) C(n,k) k/(s+k)^2
 
     The inner sum runs j = 1..n: it is the logarithmic derivative of the
-    full product, as the jet oracle confirms.
+    full product, as the jet oracle confirms, and equals (q/p) (h_n - d_n)/d_n,
+    the j = 0 term of h_n/d_n being 1.
     """
-    return _sides(IdentityId.DERIVATIVE_FG, s, n)
-
-
-def _derivative_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
-    # sum_{j=1..n} 1/(s+j) = (q/p) (h_n - d_n)/d_n, the j = 0 term of h_n/d_n being 1.
     ns = set(ns)
     p, q = s.numerator, s.denominator
     rhs = _binomial_sums(ns, [[(k * q * q, (p + k * q) ** 2) for k in range(max(ns) + 1)]])
@@ -435,7 +392,7 @@ def _derivative_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows
 
 def _tail_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     """Both tail-probability routes for every n in ns and m in ms, each route
-    evaluated once for all of them."""
+    evaluated once for all of them: lhs by derivatives, rhs by conditioning."""
     ns = set(ns)
     via_derivatives = _derivative_tails(s, ns, ms)
     via_conditioning = _conditioning_tails(s, ns, ms)
@@ -486,12 +443,6 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     n, m = params.n, params.m
     lhs, rhs = _row_evaluator(identity, n)(params.s, [n], [m])[n][m]
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
-
-
-def _sides(identity: IdentityId, s: Rational, n: int, m: int = 1) -> tuple[Rational, Rational]:
-    """Both sides of one identity at one point, through :func:`verify`."""
-    report = verify(identity, IdentityParams(s, n, m))
-    return report.lhs, report.rhs
 
 
 def default_n_values(identity: IdentityId) -> range:

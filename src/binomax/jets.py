@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import DivisionByZeroJet, MixedJets, OrderExceeded
-from .exact import Rational, check_natural, factorial
+from .exact import Rational, check_natural
 
 _Scalar = (int, Fraction)
 

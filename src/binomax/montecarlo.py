@@ -28,7 +28,8 @@ MIN_SAMPLES = 10_000
 MIN_KS_SAMPLES = 100
 
 _U53 = 1 << 53
-_CHUNK_ROWS = 1 << 16  # rows per block of draws, and points per block of the KS test
+_CHUNK_ROWS = 1 << 16  # points per block of the KS test, and at most rows per block of draws
+_CHUNK_VALUES = 32 * _CHUNK_ROWS  # values per block of draws, so rows of up to 32 fill _CHUNK_ROWS
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,6 @@ class RngConfig:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform draws from the open interval (0, 1)."""
-    return _uniforms_into(rng, np.empty(size))
 
 
 def _uniforms_into(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -81,23 +77,20 @@ def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndar
     is negated once at the end.  Negation is exact and commutes with max
     (max(-x) = -min x), division and round-to-nearest sums, so the result
     is bit-identical to reducing the draws themselves.  The matrix is drawn
-    _CHUNK_ROWS rows at a time into one reused buffer, so memory is bounded
-    by the output and one block.  Philox draws come out in sequence and
-    each row's reduction reads only that row, so the values are also
-    bit-identical to reducing the whole matrix at once.
+    in blocks of at most _CHUNK_ROWS rows and _CHUNK_VALUES values (or one
+    row) into one reused buffer, so memory is bounded by the output and one
+    block, whatever k is.  Philox draws come out in sequence and each row's
+    reduction reads only that row, so the values are also bit-identical to
+    reducing the whole matrix at once.
     """
     out = np.empty(size)
-    buf = np.empty(min(size, _CHUNK_ROWS) * k)
-    for start in range(0, size, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, size - start)
+    block = min(_CHUNK_ROWS, max(1, _CHUNK_VALUES // k))
+    buf = np.empty(min(size, block) * k)
+    for start in range(0, size, block):
+        rows = min(block, size - start)
         logs = np.log(_uniforms_into(rng, buf[:rows * k]), out=buf[:rows * k])
         reduce(logs.reshape(rows, k), out[start:start + rows])
     return np.negative(out, out=out)
-
-
-def exp_sample(rate: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exponential draws with the given rate, by inverse CDF: -log(u)/rate."""
-    return sample_gamma_integer(1, rate, rng, size)
 
 
 def _row_min(logs: np.ndarray, out: np.ndarray) -> None:
@@ -125,7 +118,7 @@ def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Integer-shape gamma draws: the sum of m independent rate-s exponentials."""
+    """Integer-shape gamma draws: the sum of m independent rate-s exponentials -log(u)/s."""
     check_natural(m, "m", 1)
     s = check_positive(float(s))
     return _reduced_exp(rng, size, m, _row_sums_over(s))

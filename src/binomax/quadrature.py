@@ -44,7 +44,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float,
-    max_depth: int = _MAX_DEPTH,
 ) -> QuadratureResult:
     """Adaptive Simpson integration of f over [a, b] to absolute tolerance.
 
@@ -55,11 +54,12 @@ def adaptive_simpson(
     first look can sit entirely off a narrow peak and report a tiny
     error for a wrong value, so the estimator must see at least
     2^_MIN_DEPTH panels first.  Raises :class:`ToleranceNotMet` once an
-    interval still fails its tolerance at ``max_depth`` subdivisions.
+    interval still fails its tolerance at ``_MAX_DEPTH`` subdivisions.
     """
     if a == b:
         f(a)
         return QuadratureResult(0.0, 0.0, 1)
+    max_depth = _MAX_DEPTH
     refines = 0  # each refine evaluates f twice, the first look three times
 
     def refine(

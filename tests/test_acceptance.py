@@ -13,25 +13,21 @@ from fractions import Fraction
 from binomax.cli import EXIT_OK, main
 from binomax.identities import (
     DEFAULT_S_GRID,
+    IdentityId,
+    IdentityParams,
     binomial_invert,
     eval_basic_lhs,
     eval_basic_rhs,
-    eval_derivative_identity,
     eval_f_jet,
     eval_g_jet,
-    eval_general_m,
-    eval_inversion_first,
-    eval_inversion_second,
-    eval_squared_identity,
     tail_prob_exact,
-    tail_prob_via_conditioning,
-    tail_prob_via_derivatives,
+    verify,
 )
 from binomax.montecarlo import (
     RngConfig,
     estimate_tail_prob,
-    exp_sample,
     ks_two_sample,
+    sample_gamma_integer,
     sample_max_exp,
     sample_sum_exp,
 )
@@ -42,6 +38,11 @@ from binomax.quadrature import (
 
 S_GRID = DEFAULT_S_GRID
 QUAD_S = (0.5, 1.0, 2.0, 10.0)
+
+
+def sides(identity, s, n, m=1):
+    report = verify(identity, IdentityParams(s, n, m))
+    return report.lhs, report.rhs
 
 
 @contextmanager
@@ -65,7 +66,7 @@ def test_criterion_02_squared_identity_and_jet_reconstruction():
     with criterion(2, "squared identity + first-derivative jet reconstruction, same grid"):
         for s in S_GRID:
             for n in range(101):
-                lhs, rhs = eval_squared_identity(s, n)
+                lhs, rhs = sides(IdentityId.SQUARED, s, n)
                 assert lhs == rhs
                 f = eval_f_jet(s, n, 1)
                 g = eval_g_jet(s, n, 1)
@@ -78,7 +79,7 @@ def test_criterion_03_general_m_identity():
         for s in S_GRID:
             for n in range(1, 51):
                 for m in range(1, 9):
-                    lhs, rhs = eval_general_m(s, n, m)
+                    lhs, rhs = sides(IdentityId.GENERAL_M, s, n, m)
                     assert lhs == rhs
 
 
@@ -86,9 +87,9 @@ def test_criterion_04_inversion_identities_and_involution():
     with criterion(4, "both inversion identities for n in 0..100 + involution"):
         for s in S_GRID:
             for n in range(101):
-                lhs1, rhs1 = eval_inversion_first(s, n)
+                lhs1, rhs1 = sides(IdentityId.INVERSION_FIRST, s, n)
                 assert lhs1 == rhs1 == s / (s + n)
-                lhs2, rhs2 = eval_inversion_second(s, n)
+                lhs2, rhs2 = sides(IdentityId.INVERSION_SECOND, s, n)
                 assert lhs2 == rhs2 == (s / (s + n)) ** 2
         rng = random.Random(20260809)
         for _ in range(40):
@@ -103,7 +104,7 @@ def test_criterion_05_derivative_identity_against_jet_oracle():
     with criterion(5, "derivative identity equals -g'(s) jet oracle for n in 0..50"):
         for s in S_GRID:
             for n in range(51):
-                lhs, rhs = eval_derivative_identity(s, n)
+                lhs, rhs = sides(IdentityId.DERIVATIVE_FG, s, n)
                 oracle = -eval_g_jet(s, n, 1).derivative(1)
                 assert lhs == oracle
                 assert rhs == oracle
@@ -114,8 +115,7 @@ def test_criterion_06_tail_probability_dual_routes():
         for s in S_GRID:
             for n in range(1, 51):
                 for m in range(1, 9):
-                    a = tail_prob_via_derivatives(m, s, n)
-                    b = tail_prob_via_conditioning(m, s, n)
+                    a, b = sides(IdentityId.TAIL_DERIVATIVE_FORM, s, n, m)
                     assert a == b
                     assert tail_prob_exact(m, s, n) == b
                 assert tail_prob_exact(1, s, n) == eval_basic_rhs(s, n)
@@ -139,8 +139,8 @@ def test_criterion_08_distributional_equality_ks_gate():
             xs = sample_max_exp(n, RngConfig(2026, 2 * idx).generator(), size=100_000)
             ys = sample_sum_exp(n, RngConfig(2026, 2 * idx + 1).generator(), size=100_000)
             assert ks_two_sample(xs, ys).p_value > 0.01
-        xs = exp_sample(1.0, RngConfig(2026, 100).generator(), size=10_000)
-        ys = exp_sample(2.0, RngConfig(2026, 101).generator(), size=10_000)
+        xs = sample_gamma_integer(1, 1.0, RngConfig(2026, 100).generator(), size=10_000)
+        ys = sample_gamma_integer(1, 2.0, RngConfig(2026, 101).generator(), size=10_000)
         assert ks_two_sample(xs, ys).p_value < 1e-6
 
 

@@ -1,7 +1,10 @@
 """The package namespace is the README's quick tour, and the tour runs."""
 
 import ast
+import importlib
+import inspect
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +15,6 @@ from binomax.errors import NonPositiveS
 from binomax.montecarlo import (
     RngConfig,
     empirical_laplace,
-    exp_sample,
     sample_gamma_integer,
 )
 from binomax.quadrature import laplace_via_cdf_quadrature
@@ -66,6 +68,33 @@ def test_readme_quick_tour_runs_and_matches_its_comments():
     assert abs(est.estimate - 0.75) <= 4 * est.std_error
 
 
+# Every submodule's public functions (defined there, no leading underscore).
+# Each computation has one public path, so a wrapper that only tests call
+# shows up here before it can settle in.
+PUBLIC_FUNCTIONS = {
+    "cli": {"main"},
+    "errors": set(),
+    "exact": {"parse_rational", "format_rational", "check_natural", "check_positive"},
+    "identities": {"eval_basic_lhs", "eval_basic_rhs", "eval_f_jet", "eval_g_jet",
+                   "tail_prob_exact", "binomial_invert", "verify", "default_n_values", "sweep"},
+    "jets": {"jet_constant", "jet_variable"},
+    "montecarlo": {"sample_max_exp", "sample_sum_exp", "sample_gamma_integer",
+                   "estimate_tail_prob", "empirical_laplace", "ks_two_sample"},
+    "quadrature": {"adaptive_simpson", "laplace_via_cdf_quadrature",
+                   "laplace_via_density_quadrature"},
+}
+
+
+def test_public_functions_are_pinned():
+    found = {}
+    for info in pkgutil.iter_modules(binomax.__path__):
+        module = importlib.import_module(f"binomax.{info.name}")
+        found[info.name] = {name for name, obj in vars(module).items()
+                            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                            and not name.startswith("_")}
+    assert found == PUBLIC_FUNCTIONS
+
+
 # Every public entry point that takes s or a rate, with valid other arguments.
 S_ENTRY_POINTS = {
     "IdentityParams": lambda s: binomax.IdentityParams(s, 3),
@@ -75,7 +104,6 @@ S_ENTRY_POINTS = {
     "tail_prob_exact": lambda s: binomax.tail_prob_exact(2, s, 3),
     "cdf_quadrature": lambda s: laplace_via_cdf_quadrature(s, 3, 1e-10),
     "density_quadrature": lambda s: binomax.laplace_via_density_quadrature(s, 3, 1e-10),
-    "exp_sample": lambda s: exp_sample(s, RngConfig(1).generator(), 10),
     "sample_gamma_integer": lambda s: sample_gamma_integer(2, s, RngConfig(1).generator(), 10),
     "estimate_tail_prob": lambda s: binomax.estimate_tail_prob(2, s, 3, 10_000, RngConfig(1)),
     "empirical_laplace": lambda s: empirical_laplace(s, 3, 10_000, RngConfig(1)),

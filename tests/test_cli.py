@@ -251,6 +251,14 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert report["manifest"]["seed"] == 99
 
+    def test_bad_seed_env_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        code, out, err = run_cli(
+            capsys, "simulate", "--suite", "tail", "--n", "1", "--samples", "10000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"binomax: error: ${SEED_ENV_VAR} must be an integer, got 'abc'\n"
+
     def test_explicit_seed_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         code, report, _ = run_json(

@@ -8,27 +8,9 @@ from binomax.errors import NonPositiveS
 from binomax.exact import (
     check_natural,
     check_positive,
-    factorial,
     format_rational,
     parse_rational,
 )
-
-
-class TestFactorial:
-    def test_base_cases(self):
-        assert factorial(0) == 1
-        assert factorial(4) == 24
-
-    def test_against_iterative_oracle(self):
-        product = 1
-        for i in range(1, 21):
-            product *= i
-            assert factorial(i) == product
-        assert factorial(20) == 2432902008176640000
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
 
 
 rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)

@@ -14,26 +14,20 @@ from binomax.errors import (
     NRequired,
     UnknownIdentity,
 )
-from binomax.exact import factorial
 from binomax.identities import (
     DEFAULT_S_GRID,
     IdentityId,
     IdentityParams,
+    _conditioning_tails,
+    _derivative_tails,
     binomial_invert,
     default_n_values,
     eval_basic_lhs,
     eval_basic_rhs,
-    eval_derivative_identity,
     eval_f_jet,
     eval_g_jet,
-    eval_general_m,
-    eval_inversion_first,
-    eval_inversion_second,
-    eval_squared_identity,
     sweep,
     tail_prob_exact,
-    tail_prob_via_conditioning,
-    tail_prob_via_derivatives,
     verify,
 )
 from binomax.jets import Jet
@@ -41,6 +35,11 @@ from binomax.montecarlo import MIN_SAMPLES, RngConfig, estimate_tail_prob
 
 ONE = Fraction(1)
 SMALL_S = [Fraction(1, 7), Fraction(1), Fraction(3, 2), Fraction(10)]
+
+
+def sides(identity, s, n, m=1):
+    report = verify(identity, IdentityParams(s, n, m))
+    return report.lhs, report.rhs
 
 
 class TestBasicIdentity:
@@ -64,7 +63,7 @@ class TestBasicIdentity:
         for s in SMALL_S:
             for n in range(25):
                 rising = math.prod((s + k for k in range(1, n + 1)), start=Fraction(1))
-                assert eval_basic_rhs(s, n) == Fraction(factorial(n)) / rising
+                assert eval_basic_rhs(s, n) == Fraction(math.factorial(n)) / rising
 
     @given(st.integers(0, 60), st.one_of(
         st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
@@ -142,7 +141,8 @@ class TestTailProbability:
         for s in SMALL_S:
             for n in range(0, 16, 3):
                 for m in range(1, 9):
-                    assert tail_prob_via_derivatives(m, s, n) == tail_prob_via_conditioning(m, s, n)
+                    lhs, rhs = sides(IdentityId.TAIL_DERIVATIVE_FORM, s, n, m)
+                    assert lhs == rhs  # derivative route == conditioning route
 
     def test_monotone_in_m_n_s(self):
         # more gamma stages -> larger tail; more exponentials or larger
@@ -171,13 +171,13 @@ class TestTailProbability:
         with pytest.raises(NonPositiveS):
             tail_prob_exact(1, Fraction(-1), 1)
 
-    @pytest.mark.parametrize("route", [tail_prob_via_derivatives, tail_prob_via_conditioning, tail_prob_exact])
+    @pytest.mark.parametrize("route", [tail_prob_exact])
     def test_m_checked_before_s_and_n(self, route):
         # (m, s, n) are validated in argument order
         with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
             route(0, Fraction(-1), -1)
 
-    @pytest.mark.parametrize("route", [tail_prob_via_derivatives, tail_prob_via_conditioning, tail_prob_exact])
+    @pytest.mark.parametrize("route", [tail_prob_exact])
     def test_bool_shape_rejected(self, route):
         # bool subclasses int, but True is not a shape
         with pytest.raises(ValueError, match="m must be a positive integer, got True"):
@@ -186,14 +186,14 @@ class TestTailProbability:
 
 class TestSquaredIdentity:
     def test_hand_values(self):
-        assert eval_squared_identity(ONE, 0) == (1, 1)
-        assert eval_squared_identity(ONE, 1) == (Fraction(3, 4), Fraction(3, 4))
-        assert eval_squared_identity(ONE, 2) == (Fraction(11, 18), Fraction(11, 18))
+        assert sides(IdentityId.SQUARED, ONE, 0) == (1, 1)
+        assert sides(IdentityId.SQUARED, ONE, 1) == (Fraction(3, 4), Fraction(3, 4))
+        assert sides(IdentityId.SQUARED, ONE, 2) == (Fraction(11, 18), Fraction(11, 18))
 
     def test_equals_f_minus_s_fprime(self):
         for s in SMALL_S:
             for n in range(16):
-                lhs, rhs = eval_squared_identity(s, n)
+                lhs, rhs = sides(IdentityId.SQUARED, s, n)
                 jet = eval_f_jet(s, n, 1)
                 assert lhs == jet.value - s * jet.derivative(1)
                 gjet = eval_g_jet(s, n, 1)
@@ -202,58 +202,58 @@ class TestSquaredIdentity:
     def test_sides_equal_on_grid(self):
         for s in SMALL_S:
             for n in range(31):
-                lhs, rhs = eval_squared_identity(s, n)
+                lhs, rhs = sides(IdentityId.SQUARED, s, n)
                 assert lhs == rhs
 
 
 class TestGeneralM:
     def test_hand_values(self):
-        assert eval_general_m(ONE, 2, 1) == (Fraction(1, 3), Fraction(1, 3))
-        assert eval_general_m(ONE, 1, 2) == (Fraction(3, 4), Fraction(3, 4))
-        assert eval_general_m(Fraction(2), 1, 1) == (Fraction(1, 3), Fraction(1, 3))
+        assert sides(IdentityId.GENERAL_M, ONE, 2, 1) == (Fraction(1, 3), Fraction(1, 3))
+        assert sides(IdentityId.GENERAL_M, ONE, 1, 2) == (Fraction(3, 4), Fraction(3, 4))
+        assert sides(IdentityId.GENERAL_M, Fraction(2), 1, 1) == (Fraction(1, 3), Fraction(1, 3))
 
     def test_n_zero_rejected(self):
         with pytest.raises(NRequired):
-            eval_general_m(ONE, 0, 1)
+            sides(IdentityId.GENERAL_M, ONE, 0, 1)
 
     def test_lhs_is_tail_probability(self):
         for s in SMALL_S:
             for n in (1, 2, 6):
                 for m in (1, 2, 5):
-                    lhs, rhs = eval_general_m(s, n, m)
+                    lhs, rhs = sides(IdentityId.GENERAL_M, s, n, m)
                     assert lhs == rhs == tail_prob_exact(m, s, n)
 
 
 class TestInversionIdentities:
     def test_first_hand_values(self):
-        assert eval_inversion_first(ONE, 0) == (1, 1)
-        assert eval_inversion_first(ONE, 2) == (Fraction(1, 3), Fraction(1, 3))
-        assert eval_inversion_first(Fraction(3), 1) == (Fraction(3, 4), Fraction(3, 4))
+        assert sides(IdentityId.INVERSION_FIRST, ONE, 0) == (1, 1)
+        assert sides(IdentityId.INVERSION_FIRST, ONE, 2) == (Fraction(1, 3), Fraction(1, 3))
+        assert sides(IdentityId.INVERSION_FIRST, Fraction(3), 1) == (Fraction(3, 4), Fraction(3, 4))
 
     def test_second_hand_values(self):
-        assert eval_inversion_second(ONE, 1) == (Fraction(1, 4), Fraction(1, 4))
-        assert eval_inversion_second(ONE, 2) == (Fraction(1, 9), Fraction(1, 9))
-        assert eval_inversion_second(ONE, 0) == (1, 1)
+        assert sides(IdentityId.INVERSION_SECOND, ONE, 1) == (Fraction(1, 4), Fraction(1, 4))
+        assert sides(IdentityId.INVERSION_SECOND, ONE, 2) == (Fraction(1, 9), Fraction(1, 9))
+        assert sides(IdentityId.INVERSION_SECOND, ONE, 0) == (1, 1)
 
     def test_sides_equal_on_grid(self):
         for s in SMALL_S:
             for n in range(31):
-                lhs1, rhs1 = eval_inversion_first(s, n)
-                lhs2, rhs2 = eval_inversion_second(s, n)
+                lhs1, rhs1 = sides(IdentityId.INVERSION_FIRST, s, n)
+                lhs2, rhs2 = sides(IdentityId.INVERSION_SECOND, s, n)
                 assert lhs1 == rhs1
                 assert lhs2 == rhs2
 
 
 class TestDerivativeIdentity:
     def test_hand_values(self):
-        assert eval_derivative_identity(ONE, 0) == (0, 0)
-        assert eval_derivative_identity(ONE, 1) == (Fraction(1, 4), Fraction(1, 4))
-        assert eval_derivative_identity(ONE, 2) == (Fraction(5, 18), Fraction(5, 18))
+        assert sides(IdentityId.DERIVATIVE_FG, ONE, 0) == (0, 0)
+        assert sides(IdentityId.DERIVATIVE_FG, ONE, 1) == (Fraction(1, 4), Fraction(1, 4))
+        assert sides(IdentityId.DERIVATIVE_FG, ONE, 2) == (Fraction(5, 18), Fraction(5, 18))
 
     def test_both_sides_equal_minus_g_prime(self):
         for s in SMALL_S:
             for n in range(21):
-                lhs, rhs = eval_derivative_identity(s, n)
+                lhs, rhs = sides(IdentityId.DERIVATIVE_FG, s, n)
                 oracle = -eval_g_jet(s, n, 1).derivative(1)
                 assert lhs == oracle
                 assert rhs == oracle
@@ -270,8 +270,8 @@ def test_reciprocal_sums_match_fraction_sums(n, s):
     product = eval_basic_rhs(s, n)
     squared_rhs = product * sum((s / (s + j) for j in range(n + 1)), Fraction(0))
     derivative_lhs = product * sum((1 / (s + j) for j in range(1, n + 1)), Fraction(0))
-    assert eval_squared_identity(s, n)[1] == squared_rhs
-    assert eval_derivative_identity(s, n)[0] == derivative_lhs
+    assert sides(IdentityId.SQUARED, s, n)[1] == squared_rhs
+    assert sides(IdentityId.DERIVATIVE_FG, s, n)[0] == derivative_lhs
 
 
 class TestBinomialInvert:
@@ -557,15 +557,14 @@ def test_sweep_matches_verify_on_random_grids(identity, s_grid, n_values, m_valu
     assert all(r.equal for r in reports)
 
 
-@pytest.mark.parametrize("route,bound_mb", [(tail_prob_via_derivatives, 25),
-                                            (tail_prob_via_conditioning, 5)])
+@pytest.mark.parametrize("route,bound_mb", [(_derivative_tails, 25), (_conditioning_tails, 5)])
 def test_large_n_tail_peak_memory_is_bounded(route, bound_mb):
     # Blocks of terms on their own denominators keep memory linear in n.  The
     # peaks here are about 10 MB and 1.3 MB; with one denominator over all
     # 1001 terms they are about 110 MB and 12 MB.
     tracemalloc.start()
     try:
-        value = route(8, Fraction(951, 832), 1000)
+        value = route(Fraction(951, 832), [1000], [8])[1000][8]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -573,15 +572,16 @@ def test_large_n_tail_peak_memory_is_bounded(route, bound_mb):
     assert peak < bound_mb * 2**20
 
 
-@pytest.mark.parametrize("evaluate,bound_mb", [(eval_inversion_first, 3),
-                                               (eval_inversion_second, 6)])
-def test_large_n_inversion_peak_memory_is_bounded(evaluate, bound_mb):
+@pytest.mark.parametrize("identity,bound_mb", [(IdentityId.INVERSION_FIRST, 3),
+                                               (IdentityId.INVERSION_SECOND, 6)],
+                         ids=["inversion_first-3", "inversion_second-6"])
+def test_large_n_inversion_peak_memory_is_bounded(identity, bound_mb):
     # The product-side terms stream into the blocked kernel.  The peaks here
     # are about 1.6 MB and 3.2 MB; with every term held in a list before
     # blocking they are about 3.8 MB and 10.8 MB.
     tracemalloc.start()
     try:
-        lhs, rhs = evaluate(Fraction(951, 832), 1000)
+        lhs, rhs = sides(identity, Fraction(951, 832), 1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,20 +7,19 @@ import pytest
 import scipy.stats
 
 from binomax.errors import InsufficientSamples, NRequired, TooFewSamples
-from binomax.identities import eval_basic_rhs, tail_prob_exact
 from binomax.montecarlo import (
     _CHUNK_ROWS,
+    _CHUNK_VALUES,
     KsResult,
     MonteCarloEstimate,
     RngConfig,
+    _uniforms_into,
     empirical_laplace,
     estimate_tail_prob,
-    exp_sample,
     ks_two_sample,
     sample_gamma_integer,
     sample_max_exp,
     sample_sum_exp,
-    uniform_open,
 )
 
 # Seeds are pinned throughout: every gate below was verified to pass at
@@ -30,31 +29,31 @@ from binomax.montecarlo import (
 class TestUniformOpen:
     def test_strictly_inside_unit_interval(self):
         rng = RngConfig(123).generator()
-        u = uniform_open(rng, 1_000_000)
+        u = _uniforms_into(rng, np.empty(1_000_000))
         assert u.min() > 0.0
         assert u.max() < 1.0
 
     def test_determinism_bitwise(self):
-        a = uniform_open(RngConfig(9, 3).generator(), 1000)
-        b = uniform_open(RngConfig(9, 3).generator(), 1000)
+        a = _uniforms_into(RngConfig(9, 3).generator(), np.empty(1000))
+        b = _uniforms_into(RngConfig(9, 3).generator(), np.empty(1000))
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = uniform_open(RngConfig(9, 0).generator(), 1000)
-        b = uniform_open(RngConfig(9, 1).generator(), 1000)
+        a = _uniforms_into(RngConfig(9, 0).generator(), np.empty(1000))
+        b = _uniforms_into(RngConfig(9, 1).generator(), np.empty(1000))
         assert not np.array_equal(a, b)
 
 
 class TestSamplers:
     def test_exp_sample_mean(self):
         # CLT gate: variance 1/rate^2, 4 sigma
-        draws = exp_sample(1.0, RngConfig(42).generator(), size=1_000_000)
+        draws = sample_gamma_integer(1, 1.0, RngConfig(42).generator(), size=1_000_000)
         assert (draws > 0).all()
         assert abs(draws.mean() - 1.0) < 4 * 1.0 / math.sqrt(1_000_000)
 
     def test_exp_sample_rate_validation(self):
         with pytest.raises(ValueError):
-            exp_sample(0.0, RngConfig(1).generator(), size=1)
+            sample_gamma_integer(1, 0.0, RngConfig(1).generator(), size=1)
 
     def test_max_exp_requires_n(self):
         with pytest.raises(NRequired):
@@ -95,9 +94,10 @@ class TestSamplers:
             sample_sum_exp(0, RngConfig(1).generator(), size=1)
 
     def test_gamma_is_exp_for_shape_one(self):
+        # shape 1 is one inverse-CDF exponential draw, -log(u)/rate, bit for bit
         a = sample_gamma_integer(1, 2.0, RngConfig(3, 8).generator(), size=50_000)
-        b = exp_sample(2.0, RngConfig(3, 8).generator(), size=50_000)
-        assert np.array_equal(a, b)
+        b = -np.log(_uniforms_into(RngConfig(3, 8).generator(), np.empty(50_000))) / 2.0
+        assert a.tobytes() == b.tobytes()
 
     def test_gamma_mean(self):
         m, s, size = 4, 2.0, 1_000_000
@@ -128,7 +128,8 @@ class TestSamplerBits:
     """The samplers' floats, pinned bit for bit at one seed."""
 
     @pytest.mark.parametrize("draw,first,last", [
-        (lambda rng: exp_sample(2.5, rng, 1000), "0x1.228d5c998175fp-1", "0x1.6e1bebd9785e0p-3"),
+        (lambda rng: sample_gamma_integer(1, 2.5, rng, 1000),
+         "0x1.228d5c998175fp-1", "0x1.6e1bebd9785e0p-3"),
         (lambda rng: sample_max_exp(5, rng, 1000), "0x1.5c7f448a5a4fdp+1", "0x1.81e0fc0f44bc5p-1"),
         (lambda rng: sample_sum_exp(5, rng, 1000), "0x1.c1063e0bcac86p+1", "0x1.00069bddcfb6dp+0"),
         (lambda rng: sample_gamma_integer(3, 1.5, rng, 1000),
@@ -138,9 +139,15 @@ class TestSamplerBits:
         draws = draw(RngConfig(2026, 7).generator())
         assert (float(draws[0]).hex(), float(draws[-1]).hex()) == (first, last)
 
-    @pytest.mark.parametrize("k", [1, 20])
-    @pytest.mark.parametrize("size", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
-                                      3 * _CHUNK_ROWS + 5])
+    # Rows of up to 32 values come _CHUNK_ROWS to a block; longer rows come
+    # _CHUNK_VALUES // k to a block: one block, two, and three here.
+    @pytest.mark.parametrize("size,k", [
+        (size, k) for k in (1, 20)
+        for size in (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5)
+    ] + [
+        (size, k) for k in (100, 2000)
+        for size in (_CHUNK_VALUES // k, _CHUNK_VALUES // k + 1, 2 * (_CHUNK_VALUES // k) + 5)
+    ])
     def test_blocked_draws_equal_the_whole_matrix(self, size, k):
         def whole_matrix(stream):
             # the size x k matrix drawn at once, as the samplers did before
@@ -173,6 +180,23 @@ class TestSamplerBits:
         finally:
             tracemalloc.stop()
         assert peak <= output + 4 * block
+
+    @pytest.mark.parametrize("sampler", [
+        sample_max_exp, sample_sum_exp,
+        lambda k, rng, size: sample_gamma_integer(k, 1.5, rng, size),
+    ], ids=["max", "sum", "gamma"])
+    def test_long_row_peak_memory_is_bounded_by_output_and_blocks(self, sampler):
+        # the whole 10^4 x 2000 draw matrix would be 160 MB, and its integer
+        # draws as much again; a block holds _CHUNK_VALUES values, whatever k is
+        size, k = 10_000, 2000
+        output, block = size * 8, _CHUNK_VALUES * 8
+        tracemalloc.start()
+        try:
+            sampler(k, RngConfig(1).generator(), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= output + 3 * block
 
 
 class TestEstimators:
@@ -240,7 +264,7 @@ class TestEstimators:
 
 class TestKsTwoSample:
     def test_identical_samples(self):
-        xs = exp_sample(1.0, RngConfig(43).generator(), size=500)
+        xs = sample_gamma_integer(1, 1.0, RngConfig(43).generator(), size=500)
         result = ks_two_sample(xs, xs)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
@@ -256,13 +280,13 @@ class TestKsTwoSample:
         assert ks_two_sample(xs, ys).p_value > 0.01
 
     def test_power_against_different_rates(self):
-        xs = exp_sample(1.0, RngConfig(53, 0).generator(), size=10_000)
-        ys = exp_sample(2.0, RngConfig(53, 1).generator(), size=10_000)
+        xs = sample_gamma_integer(1, 1.0, RngConfig(53, 0).generator(), size=10_000)
+        ys = sample_gamma_integer(1, 2.0, RngConfig(53, 1).generator(), size=10_000)
         assert ks_two_sample(xs, ys).p_value < 1e-6
 
     def test_max1_vs_exp1(self):
         xs = sample_max_exp(1, RngConfig(59, 0).generator(), size=100_000)
-        ys = exp_sample(1.0, RngConfig(59, 1).generator(), size=100_000)
+        ys = sample_gamma_integer(1, 1.0, RngConfig(59, 1).generator(), size=100_000)
         assert ks_two_sample(xs, ys).p_value > 0.01
 
     def test_against_scipy_oracle(self):

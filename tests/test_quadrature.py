@@ -112,10 +112,10 @@ class TestAdaptiveSimpson:
         assert r.evaluations >= 1
         assert r.estimated_error >= 0.0
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
         with pytest.raises(ToleranceNotMet):
-            adaptive_simpson(lambda x: math.sqrt(abs(x - 1 / math.pi)), 0.0, 1.0,
-                             1e-13, max_depth=3)
+            adaptive_simpson(lambda x: math.sqrt(abs(x - 1 / math.pi)), 0.0, 1.0, 1e-13)
 
 
 class TestAgainstTheRecursiveOracle:
