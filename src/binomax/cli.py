@@ -137,7 +137,10 @@ def _parse_rational_loose(text: str) -> Fraction:
     try:
         value = parse_rational(text)
     except ValueError:
-        value = float(text)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"--s {text!r} is not 'p/q', an integer or a decimal") from None
         if value == 0 and Decimal(text) > 0:  # a positive decimal whose float underflows
             value = Fraction(Decimal(text))
         if value == math.inf and Decimal(text).is_finite():  # a decimal whose float overflows
@@ -227,13 +230,15 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if seed is None:
-        text = os.environ.get(SEED_ENV_VAR, "0")
+        text, source = os.environ.get(SEED_ENV_VAR, "0"), f"${SEED_ENV_VAR}"
         try:
             seed = int(text)
         except ValueError:
-            raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {text!r}") from None
+            raise ValueError(f"{source} must be an integer, got {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{source} must be a 64-bit unsigned integer, got {seed}")
     samples = args.samples
     if samples < MIN_SAMPLES:
         raise InsufficientSamples(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
@@ -337,6 +342,11 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except (ValueError, OverflowError, OSError) as exc:  # bad input, s past float64, --output
         print(f"binomax: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy refuses an array it cannot allocate, before drawing
+        sizes = "--samples or --n" if args.command == "simulate" else "--n"
+        print(f"binomax: error: out of memory ({str(exc) or 'no detail'}); lower {sizes}",
+              file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if ok else EXIT_FAILURE
 

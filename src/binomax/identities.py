@@ -23,10 +23,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, product, repeat
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySequence,
@@ -98,9 +98,9 @@ class VerificationReport:
 def _check(s: Rational, n: int, m: int = 1) -> Fraction:
     """The one parameter check: s > 0, n >= 0, m >= 1, in that order.
 
-    Returns s as a Fraction.  Every public evaluator and
-    :class:`IdentityParams` validate through here; the row functions
-    below take parameters already checked.
+    Returns s as a Fraction.  Every per-point evaluator and
+    :class:`IdentityParams` validate through here, sweep with the same
+    checks; the row functions below take parameters already checked.
     """
     s = Fraction(check_positive(s))
     check_natural(n, "n")
@@ -163,14 +163,11 @@ def _binomial_sums(ns: Iterable[int], columns: Iterable[Iterable[tuple[int, int]
 
 def _dot(row: list[int], blocks: list[tuple[int, list[int]]]) -> Fraction:
     """One column's sum at n = len(row) - 1: a dot product per block, then
-    the block partials over one denominator (added where it is shared)."""
+    the block partials cross-multiplied over one denominator."""
     num, den = 0, 1
     for start, (d, nums) in zip(range(0, len(row), _BLOCK), blocks):
         part = sum(map(mul, row[start:start + _BLOCK], nums))
-        if d == den:
-            num += part
-        else:
-            num, den = num * d + part * den, den * d
+        num, den = num * d + part * den, den * d
     return Fraction(num, den)
 
 
@@ -203,18 +200,16 @@ def eval_f_jet(s: Rational, n: int, order: int) -> Jet:
     exact j-th derivative of the sum form.
     """
     s = _check(s, n)
-    check_natural(order, "order")
     return _f_jet_column(s, [n], order)[n]
 
 
-def _f_jet_column(s: Fraction, ns: Iterable[int], order: int) -> dict[int, Jet]:
+def _f_jet_column(s: Fraction, ns: Collection[int], order: int) -> dict[int, Jet]:
     """eval_f_jet at s for every n in ns: n -> jet.
 
     The term jets var/(var+k), k = 0..max(ns), are divided once, and put
     in blocks of _BLOCK on one common denominator each; each n's jet is one
     integer-weighted sum per block, the blocks joined with jet addition.
     """
-    ns = set(ns)
     var = jet_variable(s, order)
     terms = [var / (var + k) for k in range(max(ns) + 1)]
     blocks = [JetBlock(terms[i:i + _BLOCK]) for i in range(0, len(terms), _BLOCK)]
@@ -230,7 +225,6 @@ def _f_jet_column(s: Fraction, ns: Iterable[int], order: int) -> dict[int, Jet]:
 def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
     """Jet of the product side  prod_{k=1..n} k/(s+k)  at s."""
     s = _check(s, n)
-    check_natural(order, "order")
     var = jet_variable(s, order)
     acc = jet_constant(1, order, at=s)
     for k in range(1, n + 1):
@@ -238,7 +232,7 @@ def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
     return acc
 
 
-def _derivative_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tails:
+def _derivative_tails(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Tails:
     """P(gamma(s, m) > the max of n unit exponentials), derivative route, every n in ns, m in ms.
 
     The tail for shape m is  sum_{k=0..m-1} (-1)^k (s^k/k!) f^(k)(s),  where
@@ -253,13 +247,13 @@ def _derivative_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tai
     return tails
 
 
-def _conditioning_tails(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Tails:
+def _conditioning_tails(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Tails:
     """The same tail probability by conditioning on the gamma variable, every n in ns, m in ms:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m; for s = p/q, term k is the
     integer pair (p^m, (p+kq)^m), one column per distinct m.
     """
-    ns, shapes = set(ns), sorted(set(ms))
+    shapes = sorted(set(ms))
     p, q = s.numerator, s.denominator
     shifted = range(p, p + max(ns) * q + 1, q)
     sums = _binomial_sums(ns, [zip(repeat(p ** m), map(pow, shifted, repeat(m))) for m in shapes])
@@ -306,28 +300,26 @@ def _product_side(s: Fraction, top: int) -> Iterator[tuple[int, int, int]]:
         yield a, h, d
 
 
-def _basic_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _basic_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """Both sides of the basic identity: the m = 1 conditioning tail and
     the product prod_{k=1..n} k/(s+k)."""
-    ns = set(ns)
     lhs = _conditioning_tails(s, ns, [1])
     return {n: dict.fromkeys(ms, (lhs[n][1], Fraction(a, d)))
             for n, (a, _, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
-def _squared_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _squared_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """Both sides of the squared-term identity:
 
     lhs = sum (-1)^k C(n,k) (s/(s+k))^2
     rhs = prod_{k=1..n} k/(s+k) * sum_{j=0..n} s/(s+j)
     """
-    ns = set(ns)
     lhs = _conditioning_tails(s, ns, [2])
     return {n: dict.fromkeys(ms, (lhs[n][2], Fraction(a * h, d * d)))
             for n, (a, h, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
-def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _general_m_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """Both sides of the general gamma-shape identity for every n in ns and m in ms:
 
     lhs = sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m
@@ -339,7 +331,7 @@ def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
     are the pairs (h_m, d^m), h_m = d h_{m-1} + p^m, built once per j;
     each m's right side at n is the alternating sum of them at n - 1.
     """
-    ns, shapes = set(ns), sorted(set(ms))
+    shapes = sorted(set(ms))
     lhs = _conditioning_tails(s, ns, shapes)
     p, q = s.numerator, s.denominator
     p_powers = list(accumulate(repeat(p, shapes[-1]), mul))
@@ -351,29 +343,27 @@ def _general_m_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
             for n in ns}
 
 
-def _inversion_first_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _inversion_first_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """Binomial inversion of the basic identity (the k = 0 product is empty, hence 1):
 
     lhs = sum_{k=0..n} (-1)^k C(n,k) prod_{j=1..k} j/(s+j)
     rhs = s/(s+n)
     """
-    ns = set(ns)
     lhs = _binomial_sums(ns, [((a, d) for a, _, d in _product_side(s, max(ns)))])
     return {n: dict.fromkeys(ms, (value, s / (s + n))) for n, (value,) in lhs.items()}
 
 
-def _inversion_second_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _inversion_second_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """Binomial inversion of the squared identity:
 
     lhs = sum_{k=0..n} (-1)^k C(n,k) [prod_{j=1..k} j/(s+j)] [sum_{i=0..k} s/(s+i)]
     rhs = (s/(s+n))^2
     """
-    ns = set(ns)
     lhs = _binomial_sums(ns, [((a * h, d * d) for a, h, d in _product_side(s, max(ns)))])
     return {n: dict.fromkeys(ms, (value, (s / (s + n)) ** 2)) for n, (value,) in lhs.items()}
 
 
-def _derivative_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _derivative_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """The first-derivative identity (both sides equal -g'(s) = -f'(s)):
 
     lhs = prod_{k=1..n} k/(s+k) * sum_{j=1..n} 1/(s+j)
@@ -383,17 +373,15 @@ def _derivative_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows
     full product, as the jet oracle confirms, and equals (q/p) (h_n - d_n)/d_n,
     the j = 0 term of h_n/d_n being 1.
     """
-    ns = set(ns)
     p, q = s.numerator, s.denominator
     rhs = _binomial_sums(ns, [[(k * q * q, (p + k * q) ** 2) for k in range(max(ns) + 1)]])
     return {n: dict.fromkeys(ms, (Fraction(a * (h - d) * q, p * d * d), -rhs[n][0]))
             for n, (a, h, d) in enumerate(_product_side(s, max(ns))) if n in ns}
 
 
-def _tail_rows(s: Fraction, ns: Iterable[int], ms: Sequence[int]) -> _Rows:
+def _tail_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     """Both tail-probability routes for every n in ns and m in ms, each route
     evaluated once for all of them: lhs by derivatives, rhs by conditioning."""
-    ns = set(ns)
     via_derivatives = _derivative_tails(s, ns, ms)
     via_conditioning = _conditioning_tails(s, ns, ms)
     return {n: {m: (via_derivatives[n][m], via_conditioning[n][m]) for m in ms} for n in ns}
@@ -411,7 +399,7 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
     return [sums[n][0] for n in range(len(pairs))]
 
 
-# Each identity's one row function: (checked s, grid ns, shapes ms) -> _Rows.
+# Each identity's one row function: (checked s, distinct ns, shapes ms) -> _Rows.
 _ROWS: dict[IdentityId, Callable[..., _Rows]] = {
     IdentityId.BASIC: _basic_rows,
     IdentityId.SQUARED: _squared_rows,
@@ -445,14 +433,9 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
 
 
-def default_n_values(identity: IdentityId) -> range:
-    """Default n sweep: 0..DEFAULT_N_MAX, except identities that need n >= 1."""
-    return range(1 if identity is IdentityId.GENERAL_M else 0, DEFAULT_N_MAX + 1)
-
-
 def sweep(
     identities: Iterable[IdentityId] | None = None,
-    s_grid: Sequence[Rational] = DEFAULT_S_GRID,
+    s_grid: Iterable[Rational] = DEFAULT_S_GRID,
     n_values: Iterable[int] | None = None,
     m_values: Iterable[int] | None = None,
 ) -> list[VerificationReport]:
@@ -460,36 +443,32 @@ def sweep(
 
     Reports come back in a canonical order, sorted on
     (identity, n, m, s), regardless of evaluation order.  Identities
-    that ignore m contribute one row per (s, n) with m = 1.  The whole
-    grid is validated first, and an invalid grid raises what verifying
-    its points one at a time in (identity, n, m, s) order would: at each
-    n the first point's parameters are checked, then the identity's
-    domain, then the remaining points.  Each (identity, s) is then
-    evaluated once for all n and m.
+    that ignore m contribute one row per (s, n) with m = 1.  The default
+    n grid is 0..DEFAULT_N_MAX, from 1 for the general-m identity.
+    Before anything is evaluated, every value of the s, n and m grids is
+    checked once, in that order, and then each identity's domain on its
+    n grid.  Each (identity, s) is then evaluated once for all n and m.
     """
     chosen = list(identities) if identities is not None else list(IdentityId)
-    # Grids are read once: a generator would be used up by the first identity.
-    n_grid = list(n_values) if n_values is not None else None
-    m_grid = list(m_values) if m_values is not None else list(range(1, DEFAULT_M_MAX + 1))
+    # Each grid is read and checked once: a generator would be used up by the first identity.
+    s_grid = [Fraction(check_positive(s)) for s in s_grid]
+    n_grid = [check_natural(n, "n") for n in n_values] if n_values is not None else None
+    m_grid = ([check_natural(m, "m", 1) for m in m_values] if m_values is not None
+              else list(range(1, DEFAULT_M_MAX + 1)))
     plan = []
     for identity in chosen:
-        ns = n_grid if n_grid is not None else list(default_n_values(identity))
+        first_n = 1 if identity is IdentityId.GENERAL_M else 0
+        ns = n_grid if n_grid is not None else range(first_n, DEFAULT_N_MAX + 1)
         ms = m_grid if identity in USES_M else [1]
-        if not ms or not s_grid:
-            continue
-        points = []
-        for n in ns:
-            # The first point's own errors come before the identity's domain error.
-            IdentityParams(s=s_grid[0], n=n, m=ms[0])
-            evaluate = _row_evaluator(identity, n)
-            points += [IdentityParams(s=s, n=n, m=m) for m in ms for s in s_grid]
-        if points:
-            plan.append((identity, evaluate, ns, ms, points))
+        if s_grid and ns and ms:
+            plan.append((identity, _row_evaluator(identity, min(ns)), ns, ms))
     reports: list[VerificationReport] = []
-    for identity, evaluate, ns, ms, points in plan:
-        rows = {s: evaluate(s, ns, ms) for s in dict.fromkeys(p.s for p in points)}
-        for p in points:
-            lhs, rhs = rows[p.s][p.n][p.m]
-            reports.append(VerificationReport(identity=identity, params=p, lhs=lhs, rhs=rhs))
+    for identity, evaluate, ns, ms in plan:
+        distinct_ns = set(ns)
+        rows = {s: evaluate(s, distinct_ns, ms) for s in dict.fromkeys(s_grid)}
+        for n, m, s in product(ns, ms, s_grid):
+            lhs, rhs = rows[s][n][m]
+            reports.append(VerificationReport(identity=identity, params=IdentityParams(s, n, m),
+                                              lhs=lhs, rhs=rhs))
     reports.sort(key=lambda r: (_RANK[r.identity], r.params.n, r.params.m, r.params.s))
     return reports

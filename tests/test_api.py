@@ -76,7 +76,7 @@ PUBLIC_FUNCTIONS = {
     "errors": set(),
     "exact": {"parse_rational", "format_rational", "check_natural", "check_positive"},
     "identities": {"eval_basic_lhs", "eval_basic_rhs", "eval_f_jet", "eval_g_jet",
-                   "tail_prob_exact", "binomial_invert", "verify", "default_n_values", "sweep"},
+                   "tail_prob_exact", "binomial_invert", "verify", "sweep"},
     "jets": {"jet_constant", "jet_variable"},
     "montecarlo": {"sample_max_exp", "sample_sum_exp", "sample_gamma_integer",
                    "estimate_tail_prob", "empirical_laplace", "ks_two_sample"},

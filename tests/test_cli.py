@@ -320,6 +320,28 @@ class TestFormats:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("seed_env,argv,flag", [
+        (None, ("simulate", "--suite", "tail", "--n", "1", "--seed", "-1"), "--seed"),
+        (None, ("simulate", "--suite", "tail", "--n", "1", "--seed", str(2**64)), "--seed"),
+        ("-5", ("simulate", "--suite", "tail", "--n", "1"), f"${SEED_ENV_VAR}"),
+        (None, ("quadrature", "--s", "abc", "--n", "1"), "--s"),
+        (None, ("simulate", "--suite", "tail", "--s", "abc", "--n", "1"), "--s"),
+        # numpy refuses 8 PB at once, without touching memory
+        (None, ("simulate", "--suite", "lemma1", "--n", "1", "--samples", str(10**15)), "--samples"),
+    ], ids=["seed-negative", "seed-too-large", "seed-env-negative", "quadrature-s-text",
+            "simulate-s-text", "samples-beyond-memory"])
+    def test_bad_input_is_one_line_naming_its_flag(self, capsys, monkeypatch, seed_env, argv, flag):
+        if seed_env is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, seed_env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("binomax: error:")
+        assert f"{flag} " in line  # the space keeps --s from matching --samples
+
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 

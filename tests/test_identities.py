@@ -21,7 +21,6 @@ from binomax.identities import (
     _conditioning_tails,
     _derivative_tails,
     binomial_invert,
-    default_n_values,
     eval_basic_lhs,
     eval_basic_rhs,
     eval_f_jet,
@@ -328,8 +327,10 @@ class TestVerifyAndSweep:
             IdentityParams(s=ONE, n=False)
 
     def test_default_n_values(self):
-        assert default_n_values(IdentityId.BASIC)[0] == 0
-        assert default_n_values(IdentityId.GENERAL_M)[0] == 1
+        reports = sweep([IdentityId.BASIC, IdentityId.GENERAL_M], [ONE], m_values=[1])
+        first_n = {identity: min(r.params.n for r in reports if r.identity is identity)
+                   for identity in (IdentityId.BASIC, IdentityId.GENERAL_M)}
+        assert first_n == {IdentityId.BASIC: 0, IdentityId.GENERAL_M: 1}
 
     def test_sweep_small_grid_all_equal_and_sorted(self):
         reports = sweep(
@@ -412,10 +413,9 @@ class TestVerifyAndSweep:
         with pytest.raises(InternalRouteMismatch):
             estimate_tail_prob(2, Fraction(1, 2), 3, MIN_SAMPLES, RngConfig(1, 0))
 
-    def test_sweep_first_invalid_point_raises_as_per_point(self):
-        # points are met in (identity, n, m, s) order; the first bad one
-        # decides the error, its own parameters before the identity's domain
-        with pytest.raises(NRequired, match="n >= 1"):
+    def test_sweep_checks_grids_in_argument_order(self):
+        # every s, then every n, then every m, then each identity's domain
+        with pytest.raises(NonPositiveS, match="got -1"):
             sweep([IdentityId.GENERAL_M], [ONE, Fraction(-1)], [0], [1])
         with pytest.raises(NonPositiveS, match="got -1"):
             sweep([IdentityId.GENERAL_M], [Fraction(-1), ONE], [0], [1])
@@ -425,14 +425,19 @@ class TestVerifyAndSweep:
             sweep([IdentityId.TAIL_DERIVATIVE_FORM], [ONE, Fraction(2)], [1], [1, 0])
         with pytest.raises(NRequired):
             sweep([IdentityId.BASIC, IdentityId.GENERAL_M], [ONE], [0, 1], [1])
+        # a grid is checked even where no point reads it
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            sweep([IdentityId.BASIC], [ONE], [1], [0])
+        with pytest.raises(NonPositiveS, match="got -1"):
+            sweep([IdentityId.BASIC], [Fraction(-1)], [], [1])
 
-    @pytest.mark.parametrize("grid", ["n_values", "m_values"])
+    @pytest.mark.parametrize("grid", ["s_grid", "n_values", "m_values"])
     def test_sweep_reads_a_generator_grid_once_for_all_identities(self, grid):
         chosen = [IdentityId.BASIC, IdentityId.GENERAL_M, IdentityId.TAIL_DERIVATIVE_FORM]
-        grids = {"n_values": [1, 2], "m_values": [1, 3]}
-        expected = sweep(chosen, [ONE, Fraction(1, 2)], **grids)
+        grids = {"s_grid": [ONE, Fraction(1, 2)], "n_values": [1, 2], "m_values": [1, 3]}
+        expected = sweep(chosen, **grids)
         grids[grid] = (v for v in grids[grid])
-        assert sweep(chosen, [ONE, Fraction(1, 2)], **grids) == expected
+        assert sweep(chosen, **grids) == expected
         assert len(expected) == 2 * 2 + 2 * (2 * 2 * 2)
 
     def test_sweep_defaults_cover_every_identity(self):
