@@ -155,11 +155,20 @@ def _parse_rational_loose(text: str) -> Fraction:
     return s
 
 
+def _parse_exact_s(text: str) -> Fraction:
+    """'p/q' or an integer, > 0: verify's --s takes exact values only."""
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"--s {exc}") from None
+    return check_positive(value, "--s")
+
+
 def _cmd_verify(args) -> tuple[dict, list[dict], bool]:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
-    s_grid = [parse_rational(tok) for tok in args.s.split(",")] if args.s else list(DEFAULT_S_GRID)
-    explicit_n = _parse_int_list(args.n, "n") if args.n else None
-    explicit_m = _parse_int_list(args.m, "m", minimum=1) if args.m else None
+    s_grid = [_parse_exact_s(tok) for tok in args.s.split(",")] if args.s else list(DEFAULT_S_GRID)
+    explicit_n = _parse_int_list(args.n, "--n") if args.n else None
+    explicit_m = _parse_int_list(args.m, "--m", minimum=1) if args.m else None
 
     reports = sweep(identities, s_grid, explicit_n, explicit_m)
     rows = [
@@ -191,7 +200,7 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
     if not (tol >= TOLERANCE_FLOOR and 10 * tol < 1):
         raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g} and < 0.1, got {tol:g}")
     s_values = [float(_parse_rational_loose(tok)) for tok in args.s.split(",")]
-    n_values = _parse_int_list(args.n, "n")
+    n_values = _parse_int_list(args.n, "--n")
 
     rows = []
     for n in sorted(set(n_values)):
@@ -245,7 +254,7 @@ def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
     s = _parse_rational_loose(args.s)
     check_natural(args.m, "--m", 1)
     # Canonical row order; streams follow it.
-    n_values = sorted(set(_parse_int_list(args.n, "n", minimum=1))) if args.n else None
+    n_values = sorted(set(_parse_int_list(args.n, "--n", minimum=1))) if args.n else None
 
     rows = []
     if args.suite == "lemma1":

@@ -85,7 +85,7 @@ class Jet:
 
     def derivative(self, k: int) -> Rational:
         """The exact k-th derivative at the expansion point: k! * coeffs[k]."""
-        if k < 0 or k > self.order:
+        if check_natural(k, "k") > self.order:
             raise OrderExceeded(f"derivative order {k} beyond jet order {self.order}")
         return factorial(k) * self.coeffs[k]
 

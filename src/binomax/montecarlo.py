@@ -7,9 +7,12 @@ Kolmogorov-Smirnov test used to gate them statistically.
 Determinism contract: every stream is a counter-based Philox generator
 keyed by (master_seed, stream_id), so the same :class:`RngConfig`
 reproduces the identical sample sequence, and distinct stream ids give
-independent streams with no shared state.  All uniforms come from the
-open interval (0, 1): draws are k/2^53 for an integer k in [1, 2^53),
-never exactly 0 or 1, so -log(u) is always finite and positive.
+independent streams with no shared state.  The exponentials are numpy's
+ziggurat draws (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) and the
+estimators use ``math.exp``, not ``np.exp``, so the bytes do not depend on
+which SIMD kernels numpy dispatches to at import.  They can still depend
+on libm: the ziggurat's rare tail and rejection branches call ``log1p``
+and ``exp``, and ``math.exp`` is libm's ``exp``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .identities import eval_basic_rhs, tail_prob_exact
 MIN_SAMPLES = 10_000
 MIN_KS_SAMPLES = 100
 
-_U53 = 1 << 53
 _CHUNK_ROWS = 1 << 16  # points per block of the KS test, and at most rows per block of draws
 _CHUNK_VALUES = 32 * _CHUNK_ROWS  # values per block of draws, so rows of up to 32 fill _CHUNK_ROWS
 
@@ -50,16 +52,6 @@ class RngConfig:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniforms_into(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with k/2^53 for fresh draws k in [1, 2^53), and return it.
-
-    k < 2^53 converts to float64 exactly and scaling by a power of two is
-    exact, so this equals k/2^53 without a float temporary.
-    """
-    k = rng.integers(1, _U53, size=out.size, dtype=np.uint64)
-    return np.multiply(k, 2.0 ** -53, out=out, casting="unsafe")
-
-
 def _check_n(n: int) -> int:
     """n >= 1: the samplers and estimators take the max of n draws."""
     try:
@@ -69,18 +61,15 @@ def _check_n(n: int) -> int:
 
 
 def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndarray:
-    """Row reductions of a size x k matrix of unit-rate exponential draws
-    -log(u), as one length-``size`` vector.
+    """Row reductions of a size x k matrix of unit-rate exponential draws,
+    as one length-``size`` vector.
 
-    ``reduce(logs, out)`` gets one block of log(u) = -(the draws), which it
-    may overwrite, and writes each row's reduction into ``out``; the output
-    is negated once at the end.  Negation is exact and commutes with max
-    (max(-x) = -min x), division and round-to-nearest sums, so the result
-    is bit-identical to reducing the draws themselves.  The matrix is drawn
-    in blocks of at most _CHUNK_ROWS rows and _CHUNK_VALUES values (or one
+    ``reduce(draws, out)`` gets one block of draws, which it may overwrite,
+    and writes each row's reduction into ``out``.  The matrix is drawn in
+    blocks of at most _CHUNK_ROWS rows and _CHUNK_VALUES values (or one
     row) into one reused buffer, so memory is bounded by the output and one
     block, whatever k is.  Philox draws come out in sequence and each row's
-    reduction reads only that row, so the values are also bit-identical to
+    reduction reads only that row, so the values are bit-identical to
     reducing the whole matrix at once.
     """
     out = np.empty(size)
@@ -88,26 +77,26 @@ def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndar
     buf = np.empty(min(size, block) * k)
     for start in range(0, size, block):
         rows = min(block, size - start)
-        logs = np.log(_uniforms_into(rng, buf[:rows * k]), out=buf[:rows * k])
-        reduce(logs.reshape(rows, k), out[start:start + rows])
-    return np.negative(out, out=out)
+        draws = rng.standard_exponential(out=buf[:rows * k])
+        reduce(draws.reshape(rows, k), out[start:start + rows])
+    return out
 
 
-def _row_min(logs: np.ndarray, out: np.ndarray) -> None:
-    """Row minima as one reduceat over the flat block, which is faster than
-    ``min(axis=1)`` on short rows; a min is exact in any order."""
-    np.minimum.reduceat(logs.ravel(), np.arange(0, logs.size, logs.shape[1]), out=out)
+def _row_max(draws: np.ndarray, out: np.ndarray) -> None:
+    """Row maxima as one reduceat over the flat block, which is faster than
+    ``max(axis=1)`` on short rows; a max is exact in any order."""
+    np.maximum.reduceat(draws.ravel(), np.arange(0, draws.size, draws.shape[1]), out=out)
 
 
 def _row_sums_over(divisor):
-    """The reduction to row sums of logs / divisor, dividing in place."""
-    return lambda logs, out: np.divide(logs, divisor, out=logs).sum(axis=1, out=out)
+    """The reduction to row sums of draws / divisor, dividing in place."""
+    return lambda draws, out: np.divide(draws, divisor, out=draws).sum(axis=1, out=out)
 
 
 def sample_max_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Max of n independent unit-rate exponential draws, ``size`` times."""
     _check_n(n)
-    return _reduced_exp(rng, size, n, _row_min)
+    return _reduced_exp(rng, size, n, _row_max)
 
 
 def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -118,7 +107,7 @@ def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def sample_gamma_integer(m: int, s: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Integer-shape gamma draws: the sum of m independent rate-s exponentials -log(u)/s."""
+    """Integer-shape gamma draws: the sum of m independent rate-s exponentials E/s."""
     check_natural(m, "m", 1)
     s = check_positive(float(s))
     return _reduced_exp(rng, size, m, _row_sums_over(s))
@@ -180,7 +169,8 @@ def empirical_laplace(s, n: int, samples: int, cfg: RngConfig) -> MonteCarloEsti
         raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {samples}")
     rng = cfg.generator()
     with np.errstate(over="ignore"):  # for huge s, -s*X may be -inf; exp(-inf) = 0
-        values = np.exp(-float(s) * sample_max_exp(n, rng, size=samples))
+        scaled = -float(s) * sample_max_exp(n, rng, size=samples)
+    values = np.fromiter(map(math.exp, scaled.tolist()), np.float64, samples)
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1)) / math.sqrt(samples)
     exact = _exact_s(s)

@@ -6,10 +6,11 @@ import json
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from binomax import cli, identities
+from binomax import cli, identities, montecarlo
 from binomax.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -275,6 +276,45 @@ class TestSimulateCommand:
         assert report["rows"][0]["exact"] == "2/3"
 
 
+def _sum_without_the_last_term(n, rng, size):
+    # x / inf = 0: the Exp(n) term drops out, so the rates run 1..n-1
+    rates = np.arange(1, n + 1, dtype=np.float64)
+    rates[-1] = np.inf
+    return montecarlo._reduced_exp(rng, size, n, montecarlo._row_sums_over(rates))
+
+
+_gamma, _maxima = montecarlo.sample_gamma_integer, montecarlo.sample_max_exp
+# Each planted sampler defect: (module, attribute, replacement).
+DEFECTS = {
+    "sum-drops-last-rate": (cli, "sample_sum_exp", _sum_without_the_last_term),
+    "gamma-shape-m-plus-1": (montecarlo, "sample_gamma_integer",
+                             lambda m, s, rng, size: _gamma(m + 1, s, rng, size)),
+    "gamma-rate-times-1.05": (montecarlo, "sample_gamma_integer",
+                              lambda m, s, rng, size: _gamma(m, s * 1.05, rng, size)),
+    "maxima-times-1.05": (montecarlo, "sample_max_exp",
+                          lambda n, rng, size: _maxima(n, rng, size) * 1.05),
+}
+
+
+class TestGatesHaveTeeth:
+    """Each simulate gate fails on a planted sampler defect at the CLI's
+    default sizes, and passes at the same seed without it: a gate that no
+    defect can fail would be vacuous."""
+
+    @pytest.mark.parametrize("suite,defect", [
+        (suite, defect) for suite, defects in [
+            ("lemma1", ["sum-drops-last-rate"]),
+            ("tail", ["gamma-shape-m-plus-1", "gamma-rate-times-1.05"]),
+            ("laplace", ["maxima-times-1.05"]),
+        ] for defect in ["clean"] + defects
+    ])
+    def test_planted_defect_fails_the_gate(self, capsys, monkeypatch, suite, defect):
+        if defect != "clean":
+            monkeypatch.setattr(*DEFECTS[defect])
+        code = run_cli(capsys, "simulate", "--suite", suite, "--seed", "1")[0]
+        assert code == (EXIT_OK if defect == "clean" else EXIT_FAILURE)
+
+
 class TestFormats:
     def test_csv_shape_and_manifest(self, capsys):
         code, out, _ = run_cli(
@@ -328,8 +368,15 @@ class TestUsage:
         (None, ("simulate", "--suite", "tail", "--s", "abc", "--n", "1"), "--s"),
         # numpy refuses 8 PB at once, without touching memory
         (None, ("simulate", "--suite", "lemma1", "--n", "1", "--samples", str(10**15)), "--samples"),
+        (None, ("verify", "--s", "abc"), "--s"),
+        (None, ("verify", "--s", "0", "--n", "1"), "--s"),
+        (None, ("verify", "--n", "abc"), "--n"),
+        (None, ("simulate", "--suite", "lemma1", "--n", "x"), "--n"),
+        (None, ("quadrature", "--n", "1..x"), "--n"),
+        (None, ("verify", "--m", "0"), "--m"),
     ], ids=["seed-negative", "seed-too-large", "seed-env-negative", "quadrature-s-text",
-            "simulate-s-text", "samples-beyond-memory"])
+            "simulate-s-text", "samples-beyond-memory", "verify-s-text", "verify-s-zero",
+            "verify-n-text", "simulate-n-text", "quadrature-n-text", "verify-m-zero"])
     def test_bad_input_is_one_line_naming_its_flag(self, capsys, monkeypatch, seed_env, argv, flag):
         if seed_env is None:
             monkeypatch.delenv(SEED_ENV_VAR, raising=False)

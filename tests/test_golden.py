@@ -28,19 +28,19 @@ REPORTS = {
     "lemma1": (
         ["simulate", "--suite", "lemma1", "--n", "1,2,5", "--samples", "70000", "--seed", "1"],
         EXIT_OK,
-        "aef430686cc40790d0fed68d1de205a756ec6cfdc962725d3ee167795bbeb4a3",
+        "539e821655cd58fdab5429551e4026301ad58b7960f9b69a8137592442cae53e",
     ),
     "tail": (
         ["simulate", "--suite", "tail", "--m", "3", "--s", "3/2", "--n", "1..2",
          "--samples", "70000", "--seed", "1"],
         EXIT_OK,
-        "1d13e0842b754b29ae02e6efecfd848ca17dfd0638cc066f471b0b623bce0ae3",
+        "54ee13af20c92e0518e1929fa07a343bb2c2f1fab38bb573fb6bcfbd28bbd8bb",
     ),
     "laplace": (
         ["simulate", "--suite", "laplace", "--s", "2", "--n", "1..3", "--samples", "70000",
          "--seed", "1"],
         EXIT_OK,
-        "bd0893b14e9d2f6d0d40d38dee9394b48b4ace56c5e99c6ec1f2dd26cf3ce2cd",
+        "79ece55635e700c8df3668801251f024e87246e1444d352f218ca18a2d10e5d5",
     ),
 }
 

@@ -104,6 +104,12 @@ class TestDerivative:
         with pytest.raises(OrderExceeded):
             jet_variable(1, 2).derivative(3)
 
+    @pytest.mark.parametrize("k", [True, 1.0, -1])
+    def test_order_must_be_a_natural_number(self, k):
+        # True once read as the first derivative, and 1.0 reached factorial's TypeError
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            jet_variable(2, 3).derivative(k)
+
 
 small_rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 jet_coeffs = st.lists(small_rationals, min_size=3, max_size=3)
