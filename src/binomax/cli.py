@@ -28,12 +28,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .errors import InsufficientSamples, ToleranceNotMet
+from .errors import ToleranceNotMet
 from .exact import check_natural, check_positive, format_rational, parse_rational
 from .identities import DEFAULT_S_GRID, IdentityId, _basic_rhs_pair, sweep
 from .montecarlo import (
-    MIN_SAMPLES,
     RngConfig,
+    _check_samples,
     empirical_laplace,
     estimate_tail_prob,
     ks_two_sample,
@@ -166,9 +166,10 @@ def _parse_exact_s(text: str) -> Fraction:
 
 def _cmd_verify(args) -> tuple[dict, list[dict], bool]:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
-    s_grid = [_parse_exact_s(tok) for tok in args.s.split(",")] if args.s else list(DEFAULT_S_GRID)
-    explicit_n = _parse_int_list(args.n, "--n") if args.n else None
-    explicit_m = _parse_int_list(args.m, "--m", minimum=1) if args.m else None
+    s_grid = ([_parse_exact_s(tok) for tok in args.s.split(",")] if args.s is not None
+              else list(DEFAULT_S_GRID))
+    explicit_n = _parse_int_list(args.n, "--n") if args.n is not None else None
+    explicit_m = _parse_int_list(args.m, "--m", minimum=1) if args.m is not None else None
 
     reports = sweep(identities, s_grid, explicit_n, explicit_m)
     rows = [
@@ -249,12 +250,11 @@ def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
     if not 0 <= seed < 2**64:
         raise ValueError(f"{source} must be a 64-bit unsigned integer, got {seed}")
     samples = args.samples
-    if samples < MIN_SAMPLES:
-        raise InsufficientSamples(f"--samples must be >= {MIN_SAMPLES}, got {samples}")
+    _check_samples(samples, name="--samples")  # lemma1 calls no estimator that checks it
     s = _parse_rational_loose(args.s)
     check_natural(args.m, "--m", 1)
     # Canonical row order; streams follow it.
-    n_values = sorted(set(_parse_int_list(args.n, "--n", minimum=1))) if args.n else None
+    n_values = sorted(set(_parse_int_list(args.n, "--n", minimum=1))) if args.n is not None else None
 
     rows = []
     if args.suite == "lemma1":
@@ -298,30 +298,29 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    common = {"--format": dict(choices=["json", "csv", "md"], default="json"),
-              "--output": dict(default=None, help="write the report here instead of stdout")}
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "csv", "md"], default="json")
+    common.add_argument("--output", default=None, help="write the report here instead of stdout")
 
-    p_verify = sub.add_parser("verify", help="exact identity verification sweep")
+    p_verify = sub.add_parser("verify", parents=[common], help="exact identity verification sweep")
     p_verify.add_argument("--identity", default="all",
                           choices=["all"] + [i.value for i in IdentityId])
     p_verify.add_argument("--s", default=None,
                           help="comma list of exact rationals, e.g. '1/7,1/2,2' (no decimals)")
     p_verify.add_argument("--n", default=None, help="int, 'A..B', or comma list")
     p_verify.add_argument("--m", default=None, help="int, 'A..B', or comma list (shape-dependent identities)")
-    for flag, kw in common.items():
-        p_verify.add_argument(flag, **kw)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_quad = sub.add_parser("quadrature", help="quadrature of both integral routes vs exact")
+    p_quad = sub.add_parser("quadrature", parents=[common],
+                            help="quadrature of both integral routes vs exact")
     p_quad.add_argument("--s", default="0.5,1,2,10",
                         help="comma list of positive reals: 'p/q', integer, or decimal")
     p_quad.add_argument("--n", default="1..30", help="int, 'A..B', or comma list")
     p_quad.add_argument("--tol", type=float, default=1e-10)
-    for flag, kw in common.items():
-        p_quad.add_argument(flag, **kw)
     p_quad.set_defaults(func=_cmd_quadrature)
 
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo suites with statistical gates")
+    p_sim = sub.add_parser("simulate", parents=[common],
+                           help="seeded Monte Carlo suites with statistical gates")
     p_sim.add_argument("--suite", required=True, choices=["lemma1", "tail", "laplace"])
     p_sim.add_argument("--n", default=None, help="int, 'A..B', or comma list (n >= 1)")
     p_sim.add_argument("--m", type=int, default=1, help="gamma shape (tail suite)")
@@ -329,8 +328,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--samples", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=None,
                        help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    for flag, kw in common.items():
-        p_sim.add_argument(flag, **kw)
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 

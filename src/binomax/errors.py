@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Most are thin ValueError subclasses so callers can catch broadly or match
-the precise failure; the two Runtime-ish ones (InternalRouteMismatch,
-ToleranceNotMet) signal that a computation could not be trusted or
-completed, not that the caller passed bad input.
+the precise failure, and each failure has one class; the two Runtime-ish
+ones (InternalRouteMismatch, ToleranceNotMet) signal that a computation
+could not be trusted or completed, not that the caller passed bad input.
 """
 
 
@@ -44,8 +44,4 @@ class ToleranceNotMet(RuntimeError):
 
 
 class InsufficientSamples(ValueError):
-    """Monte Carlo sample count below the minimum for the statistical gate."""
-
-
-class TooFewSamples(ValueError):
-    """Too few observations for a meaningful two-sample comparison."""
+    """Too few samples for a Monte Carlo estimate or for a two-sample test."""

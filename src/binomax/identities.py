@@ -399,27 +399,28 @@ def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
     return [sums[n][0] for n in range(len(pairs))]
 
 
-# Each identity's one row function: (checked s, distinct ns, shapes ms) -> _Rows.
-_ROWS: dict[IdentityId, Callable[..., _Rows]] = {
-    IdentityId.BASIC: _basic_rows,
-    IdentityId.SQUARED: _squared_rows,
-    IdentityId.GENERAL_M: _general_m_rows,
-    IdentityId.INVERSION_FIRST: _inversion_first_rows,
-    IdentityId.INVERSION_SECOND: _inversion_second_rows,
-    IdentityId.DERIVATIVE_FG: _derivative_rows,
-    IdentityId.TAIL_DERIVATIVE_FORM: _tail_rows,
+# Each identity's row function, (checked s, distinct ns, shapes ms) -> _Rows, and smallest n.
+_ROWS: dict[IdentityId, tuple[Callable[..., _Rows], int]] = {
+    IdentityId.BASIC: (_basic_rows, 0),
+    IdentityId.SQUARED: (_squared_rows, 0),
+    IdentityId.GENERAL_M: (_general_m_rows, 1),
+    IdentityId.INVERSION_FIRST: (_inversion_first_rows, 0),
+    IdentityId.INVERSION_SECOND: (_inversion_second_rows, 0),
+    IdentityId.DERIVATIVE_FG: (_derivative_rows, 0),
+    IdentityId.TAIL_DERIVATIVE_FORM: (_tail_rows, 0),
 }
 
 
-def _row_evaluator(identity: IdentityId, n: int) -> Callable[..., _Rows]:
-    """The row function of an identity, once n is in its domain."""
+def _row_evaluator(identity: IdentityId, n: int | None = None) -> tuple[Callable[..., _Rows], int]:
+    """The row function of an identity and the smallest n of its domain,
+    once n, when one is given, is in that domain."""
     try:
-        evaluate = _ROWS[identity]
+        evaluate, first_n = _ROWS[identity]
     except (KeyError, TypeError):
         raise UnknownIdentity(f"no evaluator registered for {identity!r}") from None
-    if identity is IdentityId.GENERAL_M and n == 0:
-        raise NRequired("the general-m identity requires n >= 1")
-    return evaluate
+    if n is not None and n < first_n:
+        raise NRequired(f"the {identity.value} identity requires n >= {first_n}")
+    return evaluate, first_n
 
 
 def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
@@ -429,7 +430,8 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
     never coerced.
     """
     n, m = params.n, params.m
-    lhs, rhs = _row_evaluator(identity, n)(params.s, [n], [m])[n][m]
+    evaluate, _ = _row_evaluator(identity, n)
+    lhs, rhs = evaluate(params.s, [n], [m])[n][m]
     return VerificationReport(identity=identity, params=params, lhs=lhs, rhs=rhs)
 
 
@@ -444,7 +446,7 @@ def sweep(
     Reports come back in a canonical order, sorted on
     (identity, n, m, s), regardless of evaluation order.  Identities
     that ignore m contribute one row per (s, n) with m = 1.  The default
-    n grid is 0..DEFAULT_N_MAX, from 1 for the general-m identity.
+    n grid runs from each identity's smallest n to DEFAULT_N_MAX.
     Before anything is evaluated, every value of the s, n and m grids is
     checked once, in that order, and then each identity's domain on its
     n grid.  Each (identity, s) is then evaluated once for all n and m.
@@ -457,11 +459,10 @@ def sweep(
               else list(range(1, DEFAULT_M_MAX + 1)))
     plan = []
     for identity in chosen:
-        first_n = 1 if identity is IdentityId.GENERAL_M else 0
-        ns = n_grid if n_grid is not None else range(first_n, DEFAULT_N_MAX + 1)
+        ns = n_grid if n_grid is not None else range(_row_evaluator(identity)[1], DEFAULT_N_MAX + 1)
         ms = m_grid if identity in USES_M else [1]
         if s_grid and ns and ms:
-            plan.append((identity, _row_evaluator(identity, min(ns)), ns, ms))
+            plan.append((identity, _row_evaluator(identity, min(ns))[0], ns, ms))
     reports: list[VerificationReport] = []
     for identity, evaluate, ns, ms in plan:
         distinct_ns = set(ns)

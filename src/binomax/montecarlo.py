@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientSamples, NRequired, TooFewSamples
+from .errors import InsufficientSamples, NRequired
 from .exact import Rational, check_natural, check_positive
 from .identities import eval_basic_rhs, tail_prob_exact
 
@@ -58,6 +58,12 @@ def _check_n(n: int) -> int:
         return check_natural(n, "n", 1)
     except ValueError:
         raise NRequired(f"n must be >= 1, got {n!r}") from None
+
+
+def _check_samples(count, minimum: int = MIN_SAMPLES, name: str = "samples") -> None:
+    """A count of at least ``minimum``, and an int: not a bool, nor a float numpy would refuse."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < minimum:
+        raise InsufficientSamples(f"{name} must be an integer >= {minimum}, got {count!r}")
 
 
 def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndarray:
@@ -150,8 +156,7 @@ def estimate_tail_prob(m: int, s, n: int, samples: int, cfg: RngConfig) -> Monte
     """
     check_natural(m, "m", 1)
     _check_n(n)
-    if samples < MIN_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    _check_samples(samples)
     rng = cfg.generator()
     gammas = sample_gamma_integer(m, float(s), rng, size=samples)
     maxima = sample_max_exp(n, rng, size=samples)
@@ -165,8 +170,7 @@ def estimate_tail_prob(m: int, s, n: int, samples: int, cfg: RngConfig) -> Monte
 def empirical_laplace(s, n: int, samples: int, cfg: RngConfig) -> MonteCarloEstimate:
     """Sample mean of exp(-s X) over draws X = max of n unit exponentials."""
     check_positive(s)
-    if samples < MIN_SAMPLES:
-        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    _check_samples(samples)
     rng = cfg.generator()
     with np.errstate(over="ignore"):  # for huge s, -s*X may be -inf; exp(-inf) = 0
         scaled = -float(s) * sample_max_exp(n, rng, size=samples)
@@ -221,14 +225,15 @@ def ks_two_sample(xs, ys) -> KsResult:
     The statistic is the exact supremum gap between the two empirical
     CDFs, evaluated right-continuously at every observed value so tied
     values are fully counted before the gap is read.  The p-value uses
-    the asymptotic distribution at effective size n1*n2/(n1+n2).  Samples
-    must be finite: ValueError otherwise.
+    the asymptotic distribution at effective size n1*n2/(n1+n2).  Each
+    sample needs at least MIN_KS_SAMPLES values (InsufficientSamples
+    otherwise), all finite (ValueError otherwise).
     """
     xs = np.sort(np.asarray(xs, dtype=np.float64))
     ys = np.sort(np.asarray(ys, dtype=np.float64))
     n1, n2 = len(xs), len(ys)
-    if n1 < MIN_KS_SAMPLES or n2 < MIN_KS_SAMPLES:
-        raise TooFewSamples(f"need >= {MIN_KS_SAMPLES} samples per side, got {n1} and {n2}")
+    _check_samples(n1, MIN_KS_SAMPLES, "len(xs)")
+    _check_samples(n2, MIN_KS_SAMPLES, "len(ys)")
     # sorted, a nan or +inf is last and a -inf first; a nan is never counted
     if not np.isfinite([xs[0], xs[-1], ys[0], ys[-1]]).all():
         raise ValueError("ks_two_sample needs finite samples")

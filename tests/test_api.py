@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import binomax
+from binomax import errors
 from binomax.errors import NonPositiveS
 from binomax.montecarlo import (
     RngConfig,
@@ -93,6 +94,21 @@ def test_public_functions_are_pinned():
                             if inspect.isfunction(obj) and obj.__module__ == module.__name__
                             and not name.startswith("_")}
     assert found == PUBLIC_FUNCTIONS
+
+
+# One class per failure: a second class for a failure one of these names
+# shows up here before callers have to catch both.
+ERROR_CLASSES = {
+    "MixedJets", "DivisionByZeroJet", "OrderExceeded", "NonPositiveS", "NRequired",
+    "InternalRouteMismatch", "EmptySequence", "UnknownIdentity", "ToleranceNotMet",
+    "InsufficientSamples",
+}
+
+
+def test_error_classes_are_pinned():
+    found = {name for name, obj in vars(errors).items()
+             if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert found == ERROR_CLASSES
 
 
 # Every public entry point that takes s or a rate, with valid other arguments.

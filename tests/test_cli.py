@@ -56,7 +56,8 @@ class TestVerifyCommand:
         code, _, err = run_cli(
             capsys, "verify", "--identity", "general_m", "--n", "0", "--m", "1", "--s", "1")
         assert code == EXIT_USAGE
-        assert "n >= 1" in err
+        (line,) = err.splitlines()
+        assert "general_m" in line and "n >= 1" in line
 
     def test_decimal_s_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "basic", "--s", "0.5", "--n", "1")
@@ -374,9 +375,15 @@ class TestUsage:
         (None, ("simulate", "--suite", "lemma1", "--n", "x"), "--n"),
         (None, ("quadrature", "--n", "1..x"), "--n"),
         (None, ("verify", "--m", "0"), "--m"),
+        # an explicitly empty value is a usage error, not the default grid
+        (None, ("verify", "--s", ""), "--s"),
+        (None, ("verify", "--n", ""), "--n"),
+        (None, ("verify", "--m", ""), "--m"),
+        (None, ("simulate", "--suite", "lemma1", "--n", ""), "--n"),
     ], ids=["seed-negative", "seed-too-large", "seed-env-negative", "quadrature-s-text",
             "simulate-s-text", "samples-beyond-memory", "verify-s-text", "verify-s-zero",
-            "verify-n-text", "simulate-n-text", "quadrature-n-text", "verify-m-zero"])
+            "verify-n-text", "simulate-n-text", "quadrature-n-text", "verify-m-zero",
+            "verify-s-empty", "verify-n-empty", "verify-m-empty", "simulate-n-empty"])
     def test_bad_input_is_one_line_naming_its_flag(self, capsys, monkeypatch, seed_env, argv, flag):
         if seed_env is None:
             monkeypatch.delenv(SEED_ENV_VAR, raising=False)

@@ -212,8 +212,10 @@ class TestGeneralM:
         assert sides(IdentityId.GENERAL_M, Fraction(2), 1, 1) == (Fraction(1, 3), Fraction(1, 3))
 
     def test_n_zero_rejected(self):
-        with pytest.raises(NRequired):
+        with pytest.raises(NRequired, match="the general_m identity requires n >= 1"):
             sides(IdentityId.GENERAL_M, ONE, 0, 1)
+        with pytest.raises(NRequired, match="the general_m identity requires n >= 1"):
+            sweep([IdentityId.GENERAL_M], [ONE], [0], [1])
 
     def test_lhs_is_tail_probability(self):
         for s in SMALL_S:
@@ -311,6 +313,8 @@ class TestVerifyAndSweep:
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
             verify("not_an_identity", IdentityParams(s=ONE, n=1))
+        with pytest.raises(UnknownIdentity):  # on the default n grid too
+            sweep(["not_an_identity"], [ONE])
 
     def test_params_validation(self):
         with pytest.raises(NonPositiveS):
@@ -331,6 +335,9 @@ class TestVerifyAndSweep:
         first_n = {identity: min(r.params.n for r in reports if r.identity is identity)
                    for identity in (IdentityId.BASIC, IdentityId.GENERAL_M)}
         assert first_n == {IdentityId.BASIC: 0, IdentityId.GENERAL_M: 1}
+        # alone, general_m's default grid still starts at its smallest n
+        reports = sweep([IdentityId.GENERAL_M], [ONE], m_values=[1])
+        assert [r.params.n for r in reports] == list(range(1, identities.DEFAULT_N_MAX + 1))
 
     def test_sweep_small_grid_all_equal_and_sorted(self):
         reports = sweep(

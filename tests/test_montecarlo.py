@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from binomax.errors import InsufficientSamples, NRequired, TooFewSamples
+from binomax.errors import InsufficientSamples, NRequired
 from binomax.montecarlo import (
     _CHUNK_ROWS,
     _CHUNK_VALUES,
@@ -226,6 +226,11 @@ class TestEstimators:
     def test_tail_preconditions(self):
         with pytest.raises(InsufficientSamples):
             estimate_tail_prob(1, 1, 1, 9_999, RngConfig(1))
+        # a count is an int: not a float numpy would refuse, nor a bool
+        with pytest.raises(InsufficientSamples, match="an integer >= 10000, got 100000.0"):
+            estimate_tail_prob(1, 1, 1, 1e5, RngConfig(1))
+        with pytest.raises(InsufficientSamples, match="got True"):
+            estimate_tail_prob(1, 1, 1, True, RngConfig(1))
         with pytest.raises(NRequired):
             estimate_tail_prob(1, 1, 0, 10_000, RngConfig(1))
         with pytest.raises(ValueError):
@@ -250,6 +255,8 @@ class TestEstimators:
     def test_empirical_laplace_preconditions(self):
         with pytest.raises(InsufficientSamples):
             empirical_laplace(1, 1, 100, RngConfig(1))
+        with pytest.raises(InsufficientSamples, match="got 20000.0"):
+            empirical_laplace(1, 1, 20000.0, RngConfig(1))
         with pytest.raises(ValueError):
             empirical_laplace(-1, 1, 10_000, RngConfig(1))
 
@@ -262,8 +269,11 @@ class TestKsTwoSample:
         assert result.p_value == 1.0
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InsufficientSamples, match=r"len\(xs\) must be an integer >= 100, got 99"):
             ks_two_sample(np.arange(99), np.arange(200))
+        with pytest.raises(InsufficientSamples, match=r"len\(ys\) must be an integer >= 100, got 99"):
+            ks_two_sample(np.arange(200), np.arange(99))
+        ks_two_sample(np.arange(100), np.arange(100))  # the floor itself is enough
 
     def test_max_equals_sum_in_distribution(self):
         # the max of n unit exponentials and Exp(1)+...+Exp(n) share a law
