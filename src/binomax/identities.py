@@ -448,8 +448,9 @@ def sweep(
     that ignore m contribute one row per (s, n) with m = 1.  The default
     n grid runs from each identity's smallest n to DEFAULT_N_MAX.
     Before anything is evaluated, every value of the s, n and m grids is
-    checked once, in that order, and then each identity's domain on its
-    n grid.  Each (identity, s) is then evaluated once for all n and m.
+    checked once, in that order, and then each identity is looked up (even
+    when a grid is empty) and its domain checked on its n grid.  Each
+    (identity, s) is then evaluated once for all n and m.
     """
     chosen = list(identities) if identities is not None else list(IdentityId)
     # Each grid is read and checked once: a generator would be used up by the first identity.
@@ -459,7 +460,8 @@ def sweep(
               else list(range(1, DEFAULT_M_MAX + 1)))
     plan = []
     for identity in chosen:
-        ns = n_grid if n_grid is not None else range(_row_evaluator(identity)[1], DEFAULT_N_MAX + 1)
+        first_n = _row_evaluator(identity)[1]
+        ns = n_grid if n_grid is not None else range(first_n, DEFAULT_N_MAX + 1)
         ms = m_grid if identity in USES_M else [1]
         if s_grid and ns and ms:
             plan.append((identity, _row_evaluator(identity, min(ns))[0], ns, ms))

@@ -11,7 +11,7 @@ multiplications per operation.
 Coefficients are ``int`` numerators over one shared positive denominator,
 not kept in lowest terms: addition cross-multiplies after one gcd of the
 denominators, multiplication and the fraction-free division (Bareiss, BIT
-1968) stay on integers, and ``coeffs`` normalises once, when first read.
+1968) stay on integers, and ``coeffs`` is built from the integers when read.
 
 Jets are immutable.  A constant jet may carry ``base_point=None``
 (point-agnostic); it combines with any jet of the same order, and the
@@ -39,7 +39,7 @@ _Scalar = (int, Fraction)
 class Jet:
     """Truncated Taylor expansion at ``base_point``; ``coeffs[i] = h^(i)/i!``."""
 
-    __slots__ = ("_point", "_nums", "_den", "_coeffs")
+    __slots__ = ("_point", "_nums", "_den")
 
     def __init__(self, base_point: Rational | None, coeffs: tuple[Rational, ...]) -> None:
         coeffs = tuple(map(Fraction, coeffs))
@@ -47,22 +47,20 @@ class Jet:
             raise ValueError("a jet needs at least the order-0 coefficient")
         den = lcm(*(c.denominator for c in coeffs))
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self._point, self._nums, self._den, self._coeffs = base_point, nums, den, coeffs
+        self._point, self._nums, self._den = base_point, nums, den
 
     @classmethod
     def _over(cls, point: Rational | None, nums: tuple[int, ...], den: int) -> Jet:
         """The jet with coefficients nums[i]/den, for den > 0."""
         jet = object.__new__(cls)
-        jet._point, jet._nums, jet._den, jet._coeffs = point, nums, den, None
+        jet._point, jet._nums, jet._den = point, nums, den
         return jet
 
     base_point = property(lambda self: self._point, doc="The expansion point, or None.")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(a, self._den) for a in self._nums)
-        return self._coeffs
+        return tuple(Fraction(a, self._den) for a in self._nums)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -81,13 +79,13 @@ class Jet:
 
     @property
     def value(self) -> Rational:
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def derivative(self, k: int) -> Rational:
         """The exact k-th derivative at the expansion point: k! * coeffs[k]."""
         if check_natural(k, "k") > self.order:
             raise OrderExceeded(f"derivative order {k} beyond jet order {self.order}")
-        return factorial(k) * self.coeffs[k]
+        return factorial(k) * Fraction(self._nums[k], self._den)
 
     def _merge_point(self, other: Jet) -> Rational | None:
         if len(self._nums) != len(other._nums):
@@ -106,12 +104,10 @@ class Jet:
         if rhs is None:
             return NotImplemented
         point = self._merge_point(rhs)
-        a, b, den = self._nums, rhs._nums, self._den
-        if rhs._den != den:  # bring both over lcm(den, rhs._den)
-            g = gcd(den, rhs._den)
-            scale_a, scale_b = rhs._den // g, den // g
-            a, b, den = [x * scale_a for x in a], [y * scale_b for y in b], den * scale_a
-        return Jet._over(point, tuple(x + y for x, y in zip(a, b)), den)
+        g = gcd(self._den, rhs._den)  # bring both over lcm(self._den, rhs._den)
+        scale_a, scale_b = rhs._den // g, self._den // g
+        nums = tuple(x * scale_a + y * scale_b for x, y in zip(self._nums, rhs._nums))
+        return Jet._over(point, nums, self._den * scale_a)
 
     __radd__ = __add__
 
@@ -125,16 +121,14 @@ class Jet:
         return Jet._over(self._point, tuple(-a for a in self._nums), self._den)
 
     def __mul__(self, other: object) -> Jet:
-        if isinstance(other, _Scalar):
-            nums = tuple(a * other.numerator for a in self._nums)
-            return Jet._over(self._point, nums, self._den * other.denominator)
-        if not isinstance(other, Jet):
+        rhs = self._coerce(other)
+        if rhs is None:
             return NotImplemented
-        point = self._merge_point(other)
-        a, b = self._nums, other._nums
+        point = self._merge_point(rhs)
+        a, b = self._nums, rhs._nums
         out = tuple(sum(a[j] * b[i - j] for j in range(i + 1) if a[j] and b[i - j])
                     for i in range(len(a)))
-        return Jet._over(point, out, self._den * other._den)
+        return Jet._over(point, out, self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -195,16 +189,15 @@ class JetBlock:
     def __init__(self, jets: Sequence[Jet]) -> None:
         if not jets:
             raise ValueError("a jet block needs at least one jet")
-        point, size = None, len(jets[0]._nums)
+        first, point = jets[0], None
         for jet in jets:
-            if len(jet._nums) != size:
-                raise MixedJets(f"jet orders differ: {size - 1} vs {jet.order}")
-            point = _merge_points(point, jet._point)
+            point = _merge_points(point, first._merge_point(jet))
         den = lcm(*(jet._den for jet in jets))
         scales = [den // jet._den for jet in jets]
         self._point, self._den = point, den
         # Column i holds coefficient i of every jet, over den.
-        self._columns = [list(map(mul, (jet._nums[i] for jet in jets), scales)) for i in range(size)]
+        self._columns = [list(map(mul, (jet._nums[i] for jet in jets), scales))
+                         for i in range(len(first._nums))]
 
     def weighted_sum(self, weights: Sequence[int]) -> Jet:
         """sum_k weights[k] * jets[k] over the first len(weights) jets of the block."""
@@ -218,7 +211,7 @@ class JetBlock:
 def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:
     """Jet of the constant function c: all derivative coefficients zero."""
     check_natural(order, "order")
-    c = c if isinstance(c, _Scalar) else Fraction(c)
+    c = Fraction(c)
     point = Fraction(at) if at is not None else None
     return Jet._over(point, (c.numerator,) + (0,) * order, c.denominator)
 

@@ -52,12 +52,10 @@ class RngConfig:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_n(n: int) -> int:
+def _check_n(n: int) -> None:
     """n >= 1: the samplers and estimators take the max of n draws."""
-    try:
-        return check_natural(n, "n", 1)
-    except ValueError:
-        raise NRequired(f"n must be >= 1, got {n!r}") from None
+    if check_natural(n, "n") == 0:
+        raise NRequired("n must be >= 1, got 0")
 
 
 def _check_samples(count, minimum: int = MIN_SAMPLES, name: str = "samples") -> None:
@@ -226,11 +224,15 @@ def ks_two_sample(xs, ys) -> KsResult:
     CDFs, evaluated right-continuously at every observed value so tied
     values are fully counted before the gap is read.  The p-value uses
     the asymptotic distribution at effective size n1*n2/(n1+n2).  Each
-    sample needs at least MIN_KS_SAMPLES values (InsufficientSamples
-    otherwise), all finite (ValueError otherwise).
+    sample is one-dimensional (ValueError otherwise), of at least
+    MIN_KS_SAMPLES values (InsufficientSamples otherwise), all finite
+    (ValueError otherwise).
     """
-    xs = np.sort(np.asarray(xs, dtype=np.float64))
-    ys = np.sort(np.asarray(ys, dtype=np.float64))
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    for name, sample in (("xs", xs), ("ys", ys)):
+        if sample.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {sample.shape}")
+    xs, ys = np.sort(xs), np.sort(ys)
     n1, n2 = len(xs), len(ys)
     _check_samples(n1, MIN_KS_SAMPLES, "len(xs)")
     _check_samples(n2, MIN_KS_SAMPLES, "len(ys)")

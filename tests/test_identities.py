@@ -315,6 +315,10 @@ class TestVerifyAndSweep:
             verify("not_an_identity", IdentityParams(s=ONE, n=1))
         with pytest.raises(UnknownIdentity):  # on the default n grid too
             sweep(["not_an_identity"], [ONE])
+        with pytest.raises(UnknownIdentity):  # and when an empty grid leaves nothing to evaluate
+            sweep(["not_an_identity"], [ONE], [])
+        with pytest.raises(UnknownIdentity):
+            sweep(["not_an_identity"], [], [1])
 
     def test_params_validation(self):
         with pytest.raises(NonPositiveS):

@@ -118,6 +118,20 @@ def test_jet_route_never_calls_the_alternating_kernel(monkeypatch):
     assert column[0].coeffs == (1, 0, 0, 0, 0)
 
 
+def test_jet_route_never_builds_the_lowest_terms_view(monkeypatch):
+    # the tail rows read jet numerators and denominators only, never a Fraction per coefficient
+    def forbidden(self):
+        raise AssertionError("the jet route must stay on integer numerators")
+
+    monkeypatch.setattr(Jet, "coeffs", property(forbidden))
+    ns = range(70)
+    assert len(ns) > identities._BLOCK  # more than one block of term jets
+    rows = identities.sweep([identities.IdentityId.TAIL_DERIVATIVE_FORM],
+                            [Fraction(1, 7), Fraction(1000, 3)], ns, range(1, 9))
+    assert len(rows) == 2 * 70 * 8 and all(row.equal for row in rows)
+    assert 0 < identities.tail_prob_exact(3, Fraction(1), 5) < 1  # it cross-checks both routes
+
+
 # Jets of orders 0..7 at a shared point, at no point, or now and then at
 # another point or of another order, so that + raises MixedJets.
 @st.composite

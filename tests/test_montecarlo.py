@@ -51,8 +51,10 @@ class TestSamplers:
     def test_max_exp_requires_n(self):
         with pytest.raises(NRequired):
             sample_max_exp(0, RngConfig(1).generator(), size=1)
-        with pytest.raises(NRequired, match="n must be >= 1, got True"):
-            sample_max_exp(True, RngConfig(1).generator(), size=3)
+        for bad in (True, 2.5):  # not a count at all: the argument check's own words
+            with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {bad}") as info:
+                sample_max_exp(bad, RngConfig(1).generator(), size=3)
+            assert type(info.value) is ValueError
 
     def test_max_exp_mean(self):
         # E max of n unit exponentials = H_n (harmonic number)
@@ -274,6 +276,14 @@ class TestKsTwoSample:
         with pytest.raises(InsufficientSamples, match=r"len\(ys\) must be an integer >= 100, got 99"):
             ks_two_sample(np.arange(200), np.arange(99))
         ks_two_sample(np.arange(100), np.arange(100))  # the floor itself is enough
+
+    def test_samples_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"xs must be one-dimensional, got shape \(200, 3\)"):
+            ks_two_sample(np.zeros((200, 3)), np.ones((200, 3)))
+        with pytest.raises(ValueError, match=r"xs must be one-dimensional, got shape \(200, 1\)"):
+            ks_two_sample(np.zeros((200, 1)), np.ones((200, 1)))
+        with pytest.raises(ValueError, match=r"ys must be one-dimensional, got shape \(\)"):
+            ks_two_sample(np.arange(200.0), 1.0)
 
     def test_max_equals_sum_in_distribution(self):
         # the max of n unit exponentials and Exp(1)+...+Exp(n) share a law
