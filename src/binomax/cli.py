@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
@@ -72,37 +72,41 @@ def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
             "tool_version": __version__, "timestamp": stamp}
 
 
-def _fmt(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return value
+def _cell(value, quote=None) -> str:
+    """The one cell rule of every format: a rational as "p/q", a float to 17
+    significant digits, booleans as true/false, None empty (null in JSON,
+    whose ``quote`` also quotes the text cells), anything else by str."""
+    if value is None:
+        return "null" if quote else ""
+    if isinstance(value, int):
+        return ("true" if value else "false") if isinstance(value, bool) else str(value)
+    text = (format_rational(value) if isinstance(value, Fraction)
+            else format(value, ".17g") if isinstance(value, float) else str(value))
+    return quote(text) if quote else text
 
 
-def _render(head: dict, rows: list[dict], fmt: str) -> str:
-    rows = [{k: _fmt(v) for k, v in row.items()} for row in rows]
+def _write_report(out, head: dict, rows: list[dict], fmt: str) -> None:
+    """Write the report to ``out`` row by row; JSON in ``json.dumps(indent=2)``'s layout."""
+    compact = json.dumps(head, separators=(",", ":"))
+    columns = list(rows[0]) if rows else []
     if fmt == "json":
-        return json.dumps({"manifest": head, "rows": rows}, indent=2) + "\n"
-    columns = list(rows[0].keys()) if rows else []
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write("# manifest: " + json.dumps(head, separators=(",", ":")) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
+        quote = json.encoder.encode_basestring_ascii
+        out.write('{\n  "manifest": ' + json.dumps(head, indent=2).replace("\n", "\n  ")
+                  + ',\n  "rows": [')
+        for i, row in enumerate(rows):
+            fields = ",\n".join(f"      {quote(k)}: {_cell(v, quote)}" for k, v in row.items())
+            out.write(("," if i else "") + "\n    {\n" + fields + "\n    }")
+        out.write("\n  ]\n}\n" if rows else "]\n}\n")
+    elif fmt == "csv":
+        out.write(f"# manifest: {compact}\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+    else:  # md
+        out.write(f"manifest: `{compact}`\n\n| " + " | ".join(columns) + " |\n| "
+                  + " | ".join("---" for _ in columns) + " |\n")
         for row in rows:
-            writer.writerow(["" if v is None else ("true" if v is True else "false" if v is False else v)
-                             for v in row.values()])
-        return buf.getvalue()
-    if fmt == "md":
-        lines = ["manifest: `" + json.dumps(head, separators=(",", ":")) + "`", ""]
-        lines.append("| " + " | ".join(columns) + " |")
-        lines.append("| " + " | ".join("---" for _ in columns) + " |")
-        for row in rows:
-            cells = ["" if v is None else str(v) for v in row.values()]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+            out.write("| " + " | ".join(_cell(v) for v in row.values()) + " |\n")
 
 
 def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
@@ -340,12 +344,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:  # each command returns (manifest, rows, ok); only main writes reports
         manifest, rows, ok = args.func(args)
-        text = _render(manifest, rows, args.format)
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
+            _write_report(out, manifest, rows, args.format)
     except (ValueError, OverflowError, OSError) as exc:  # bad input, s past float64, --output
         print(f"binomax: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

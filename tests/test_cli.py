@@ -1,8 +1,11 @@
 import contextlib
 import csv
 import filecmp
+import hashlib
 import io
 import json
+import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from binomax.cli import (
     _parse_int_list,
     main,
 )
+from binomax.exact import format_rational
 
 
 def run_cli(capsys, *argv):
@@ -339,7 +343,7 @@ class TestFormats:
         lines = out.splitlines()
         assert lines[0].startswith("manifest: ")
         assert lines[2].startswith("| identity | s | n | m | lhs | rhs | equal |")
-        assert "| 1/2 | 1/2 | True |" in lines[4]
+        assert "| 1/2 | 1/2 | true |" in lines[4]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -358,6 +362,140 @@ class TestFormats:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("binomax: error: ")
+
+    def test_failed_command_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "verify", "--s", "0", "--n", "1", "--output", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert not path.exists()
+
+
+def oracle_fmt(value):
+    """The cell rule of the old whole-report renderer, kept as the oracle
+    that ``cli._write_report`` must equal byte for byte."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return value
+
+
+def oracle_render(head, rows, fmt):
+    """The old renderer: a second list of string rows, then one string."""
+    rows = [{k: oracle_fmt(v) for k, v in row.items()} for row in rows]
+    if fmt == "json":
+        return json.dumps({"manifest": head, "rows": rows}, indent=2) + "\n"
+    columns = list(rows[0].keys()) if rows else []
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write("# manifest: " + json.dumps(head, separators=(",", ":")) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(["" if v is None else ("true" if v is True else "false" if v is False else v)
+                             for v in row.values()])
+        return buf.getvalue()
+    lines = ["manifest: `" + json.dumps(head, separators=(",", ":")) + "`", ""]
+    lines.append("| " + " | ".join(columns) + " |")
+    lines.append("| " + " | ".join("---" for _ in columns) + " |")
+    for row in rows:
+        cells = ["" if v is None else str(v) for v in row.values()]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def command_report(*argv):
+    args = cli._build_parser().parse_args(list(argv))
+    head, rows, _ = args.func(args)
+    return head, rows
+
+
+ODD_TEXT = 'a "quoted", comma\nthen a newline and \u00fc'
+HEAD = {"command": "verify", "parameters": {"note": ODD_TEXT}, "seed": None,
+        "tool_version": "0.1.0", "timestamp": None}
+WRITER_CASES = {
+    "empty": lambda: (HEAD, []),
+    "none-bools-floats": lambda: (HEAD, [
+        {"a": None, "b": True, "c": False, "d": 0.1, "e": -2.5e-300, "f": math.inf, "g": 7},
+        {"a": 1.0, "b": False, "c": True, "d": None, "e": 0.0, "f": math.nan, "g": 0},
+    ]),
+    "rational-past-4300-digits": lambda: (HEAD, [
+        {"lhs": Fraction(10**4400 + 1, 3**5), "rhs": Fraction(-(10**4301)), "equal": False},
+    ]),
+    "quadrature-note-and-underflow": lambda: command_report(
+        "quadrature", "--s", "1e-20,1e300", "--n", "3", "--tol", "1e-10"),
+    "lemma1-streams": lambda: command_report(
+        "simulate", "--suite", "lemma1", "--n", "1,2", "--samples", "10000", "--seed", "1"),
+    "odd-text": lambda: (HEAD, [{"note": ODD_TEXT, "n": 1}, {"note": "", "n": 2}]),
+}
+
+
+class TestWriter:
+    """``_write_report`` writes the bytes of the old renderer, except that
+    markdown booleans follow the one cell rule (true/false), and it holds
+    no copy of the report while writing."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_same_bytes_as_the_oracle(self, case, fmt):
+        head, rows = WRITER_CASES[case]()
+        expected_rows = rows if fmt != "md" else [
+            {k: "true" if v is True else "false" if v is False else v for k, v in row.items()}
+            for row in rows]
+        out = io.StringIO()
+        cli._write_report(out, head, rows, fmt)
+        assert out.getvalue() == oracle_render(head, expected_rows, fmt)
+
+    def test_cases_reach_every_cell_kind(self):
+        head, rows = WRITER_CASES["quadrature-note-and-underflow"]()
+        assert rows[0]["note"] and rows[0]["cdf_value"] is None
+        assert rows[1]["exact"] == 0 and rows[1]["note"]
+        head, rows = WRITER_CASES["lemma1-streams"]()
+        assert rows[0]["streams"] == "0,1"
+
+    # The raw stdout of the golden lemma1 and tail runs.  test_golden.py
+    # hashes the parsed JSON, which cannot see layout or CSV and markdown.
+    GOLDEN_ARGV = {
+        "lemma1": ["simulate", "--suite", "lemma1", "--n", "1,2,5", "--samples", "70000",
+                   "--seed", "1"],
+        "tail": ["simulate", "--suite", "tail", "--m", "3", "--s", "3/2", "--n", "1..2",
+                 "--samples", "70000", "--seed", "1"],
+    }
+    RAW_DIGESTS = {
+        ("lemma1", "json"): "3a68ce804dee4dcae7bfa0f4a77f8d943fd2e528e9881fd5bf0991867ebe840c",
+        ("lemma1", "csv"): "a7767fd867bb0a2c0a4e992d0a0fc636f9ea5aa97ecce7397621ca9fef5e0230",
+        ("lemma1", "md"): "bfb31a8f014c223f4c2e1ebf5ed027ad28fe0eb07dbfcba06071d238744d6a78",
+        ("tail", "json"): "54f40ffeef0ab16d6b75e819a0a4f9a51ed7dae919bdef69b634776f0c6108ac",
+        ("tail", "csv"): "7cf0e36d92e30c3b68edb78ceeee3b79fc8b5090fb0a821deea84e6b402f79d4",
+        ("tail", "md"): "39f4f2a66ee9280321e516754840f471c09cf3621037f48bfd6e7bcbb3008915",
+    }
+
+    @pytest.mark.parametrize("name,fmt", RAW_DIGESTS)
+    def test_raw_bytes_of_golden_runs(self, capsys, name, fmt):
+        code, out, _ = run_cli(capsys, *self.GOLDEN_ARGV[name], "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RAW_DIGESTS[name, fmt]
+
+    @pytest.fixture(scope="class")
+    def general_m_reports(self):
+        return identities.sweep([identities.IdentityId.GENERAL_M], [Fraction(997, 541)],
+                                range(1, 81), range(1, 9))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    def test_peak_memory_below_half_the_report(self, monkeypatch, tmp_path, general_m_reports, fmt):
+        assert len(general_m_reports) >= 600
+        monkeypatch.setattr(cli, "sweep", lambda *args: general_m_reports)
+        path = tmp_path / f"report.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--identity", "general_m", "--s", "997/541", "--n", "1..80",
+                         "--m", "1..8", "--format", fmt, "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < path.stat().st_size / 2
 
 
 class TestUsage:
