@@ -57,19 +57,11 @@ SIGMA_GATE = 4.0
 MAX_GRID_VALUES = 100_000
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for
-    # verification failures, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _manifest(command: str, parameters: dict, seed: int | None = None) -> dict:
+def _manifest(args, parameters: dict, seed: int | None = None) -> dict:
     # A seeded report is a pure function of its parameters: no timestamp.
     stamp = None if seed is not None else datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return {"command": command, "parameters": parameters, "seed": seed,
-            "tool_version": __version__, "timestamp": stamp}
+    return {"command": args.command, "parameters": {**parameters, "format": args.format},
+            "seed": seed, "tool_version": __version__, "timestamp": stamp}
 
 
 def _cell(value, quote=None) -> str:
@@ -110,25 +102,26 @@ def _write_report(out, head: dict, rows: list[dict], fmt: str) -> None:
 
 
 def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
-    """Accept 'N', 'A..B' (inclusive), or a comma list of integers.
+    """Accept 'N', 'A..B' (inclusive), or a comma list of these.
 
-    An empty result (say '5..1') is an error: a grid with no points
-    would pass every check without checking anything.  So is one of more
-    than MAX_GRID_VALUES values, which is counted before it is built.
+    An empty span (say '5..1'), even inside a list, is an error: it would
+    check nothing, and on its own would pass every check.  So is a list of
+    more than MAX_GRID_VALUES values, which is counted before it is built.
     """
     spans: list[tuple[int, int]] = []
-    try:
-        for part in text.split(","):
-            lo, dots, hi = part.strip().partition("..")
-            spans.append((int(lo), int(hi) if dots else int(lo)))
-    except ValueError:
-        raise ValueError(f"cannot parse {name} list {text!r}") from None
-    count = sum(max(0, hi - lo + 1) for lo, hi in spans)
+    for part in map(str.strip, text.split(",")):
+        lo, dots, hi = part.partition("..")
+        try:
+            span = (int(lo), int(hi) if dots else int(lo))
+        except ValueError:
+            raise ValueError(f"cannot parse {name} list {text!r}") from None
+        if span[1] < span[0]:
+            raise ValueError(f"{name} span {part!r} in {text!r} is empty")
+        spans.append(span)
+    count = sum(hi - lo + 1 for lo, hi in spans)
     if count > MAX_GRID_VALUES:
         raise ValueError(f"{name} list {text!r} has {count} values, more than {MAX_GRID_VALUES}")
     out = [v for lo, hi in spans for v in range(lo, hi + 1)]
-    if not out:
-        raise ValueError(f"{name} list {text!r} is empty")
     for v in out:
         if v < minimum:
             raise ValueError(f"{name} values must be >= {minimum}, got {v}")
@@ -188,12 +181,11 @@ def _cmd_verify(args) -> tuple[dict, list[dict], bool]:
         }
         for r in reports
     ]
-    manifest = _manifest("verify", {
+    manifest = _manifest(args, {
         "identity": args.identity,
         "s": ",".join(format_rational(s) for s in s_grid),
         "n": args.n or "default",
         "m": args.m or "default",
-        "format": args.format,
     })
     return manifest, rows, all(r.equal for r in reports)
 
@@ -237,9 +229,7 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
                 ok = ok and error <= 10 * tol
             row["pass"], row["note"] = ok, "; ".join(notes)
             rows.append(row)
-    manifest = _manifest("quadrature", {
-        "s": args.s, "n": args.n, "tol": format(tol, ".17g"), "format": args.format,
-    })
+    manifest = _manifest(args, {"s": args.s, "n": args.n, "tol": format(tol, ".17g")})
     return manifest, rows, all(row["pass"] for row in rows)
 
 
@@ -286,21 +276,20 @@ def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
                 "exact": est.exact_reference, "sigma_gate": SIGMA_GATE,
                 "pass": est.within_sigma(SIGMA_GATE),
             })
-    manifest = _manifest("simulate", {
+    manifest = _manifest(args, {
         "suite": args.suite,
         "n": args.n or "default",
         "m": str(args.m),
         "s": format_rational(s),
         "samples": str(samples),
-        "format": args.format,
     }, seed=seed)
     return manifest, rows, all(row["pass"] for row in rows)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="binomax", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="binomax", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "md"], default="json")
@@ -340,8 +329,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:  # each command returns (manifest, rows, ok); only main writes reports
         manifest, rows, ok = args.func(args)
         with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:

@@ -1,11 +1,10 @@
 """Exact rational arithmetic: the value type, its string I/O and the argument checks.
 
-``Rational`` is the universal exact value type of the package.  It is the
-standard-library ``fractions.Fraction``, which already guarantees the
-canonical form we rely on everywhere: denominator > 0 and
-gcd(|numerator|, denominator) = 1 after every operation, so equality of
-values is equality of canonical forms.  Values are immutable and safe to
-share between threads.
+The universal exact value type of the package is the standard-library
+``fractions.Fraction``, which already guarantees the canonical form we
+rely on everywhere: denominator > 0 and gcd(|numerator|, denominator) = 1
+after every operation, so equality of values is equality of canonical
+forms.  Values are immutable and safe to share between threads.
 
 String I/O is deliberately stricter than ``Fraction``'s own parser: only
 ``"p/q"`` and plain integer strings are accepted, never decimals or
@@ -22,13 +21,11 @@ from fractions import Fraction
 
 from .errors import NonPositiveS
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or an integer string into an exact Rational.
+    """Parse ``"p/q"`` or an integer string into an exact Fraction.
 
     Decimal or scientific notation is rejected: such inputs are not exact
     and must not enter the exact pipeline.  Round-trips losslessly with
@@ -48,7 +45,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Rational canonically: ``"-3/7"``, or ``"5"`` when integral."""
+    """Render a Fraction canonically: ``"-3/7"``, or ``"5"`` when integral."""
     # decimal renders integers of any size; str(int) stops at 4300 digits.
     num, den = (str(Decimal(part)) for part in Fraction(value).as_integer_ratio())
     return num if den == "1" else f"{num}/{den}"

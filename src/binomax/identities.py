@@ -3,7 +3,7 @@
 Every identity here relates an alternating binomial sum to a closed
 product form; all of them are rational functions of a parameter s > 0
 (with integer parameters n >= 0 and, for two of them, m >= 1) and are
-evaluated exactly over :class:`~binomax.exact.Rational`.  The anchor of
+evaluated exactly over :class:`fractions.Fraction`.  The anchor of
 the family is
 
     sum_{k=0..n} (-1)^k C(n,k) s/(s+k)  =  prod_{k=1..n} k/(s+k),
@@ -34,11 +34,11 @@ from .errors import (
     NRequired,
     UnknownIdentity,
 )
-from .exact import Rational, check_natural, check_positive, format_rational
+from .exact import check_natural, check_positive, format_rational
 from .jets import Jet, JetBlock, jet_constant, jet_variable
 
 #: Default parameter sweep used by the verification engine and the CLI.
-DEFAULT_S_GRID: tuple[Rational, ...] = (
+DEFAULT_S_GRID: tuple[Fraction, ...] = (
     Fraction(1, 7),
     Fraction(1, 2),
     Fraction(1),
@@ -73,7 +73,7 @@ _RANK = {ident: i for i, ident in enumerate(IdentityId)}
 class IdentityParams:
     """Evaluation point (s, n, m); s must be positive, m at least 1."""
 
-    s: Rational
+    s: Fraction
     n: int
     m: int = 1
 
@@ -87,15 +87,15 @@ class VerificationReport:
 
     identity: IdentityId
     params: IdentityParams
-    lhs: Rational
-    rhs: Rational
+    lhs: Fraction
+    rhs: Fraction
     equal: bool = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equal", self.lhs == self.rhs)
 
 
-def _check(s: Rational, n: int, m: int = 1) -> Fraction:
+def _check(s: Fraction, n: int, m: int = 1) -> Fraction:
     """The one parameter check: s > 0, n >= 0, m >= 1, in that order.
 
     Returns s as a Fraction.  Every per-point evaluator and
@@ -109,8 +109,8 @@ def _check(s: Rational, n: int, m: int = 1) -> Fraction:
 
 
 # Evaluation by column: every n of a grid ns and m of shapes ms at one checked s.
-_Tails = dict[int, dict[int, Rational]]  # n -> {m: tail probability}
-_Rows = dict[int, dict[int, tuple[Rational, Rational]]]  # n -> {m: (lhs, rhs)}
+_Tails = dict[int, dict[int, Fraction]]  # n -> {m: tail probability}
+_Rows = dict[int, dict[int, tuple[Fraction, Fraction]]]  # n -> {m: (lhs, rhs)}
 
 
 #: Consecutive terms per block of the alternating-sum kernels.  Each block
@@ -171,12 +171,12 @@ def _dot(row: list[int], blocks: list[tuple[int, list[int]]]) -> Fraction:
     return Fraction(num, den)
 
 
-def eval_basic_lhs(s: Rational, n: int) -> Rational:
+def eval_basic_lhs(s: Fraction, n: int) -> Fraction:
     """Alternating sum  sum_{k=0..n} (-1)^k C(n,k) s/(s+k), the m = 1 conditioning tail."""
     return _conditioning_tails(_check(s, n), [n], [1])[n][1]
 
 
-def eval_basic_rhs(s: Rational, n: int) -> Rational:
+def eval_basic_rhs(s: Fraction, n: int) -> Fraction:
     """Product form  prod_{k=1..n} k/(s+k)  =  n!/((s+1)...(s+n));  1 for n = 0.
 
     For s = p/q that is the integer ratio  n! q^n / prod_{k=1..n} (p+kq).
@@ -184,7 +184,7 @@ def eval_basic_rhs(s: Rational, n: int) -> Rational:
     return Fraction(*_basic_rhs_pair(s, n))
 
 
-def _basic_rhs_pair(s: Rational, n: int) -> tuple[int, int]:
+def _basic_rhs_pair(s: Fraction, n: int) -> tuple[int, int]:
     """The product form as the integer pair (n! q^n, prod_{k=1..n} (p+kq)),
     not reduced: a float reference reads it as num / den, which is correctly
     rounded, without the gcd that a Fraction costs."""
@@ -193,7 +193,7 @@ def _basic_rhs_pair(s: Rational, n: int) -> tuple[int, int]:
     return factorial(n) * q ** n, prod(range(p + q, p + n * q + 1, q))
 
 
-def eval_f_jet(s: Rational, n: int, order: int) -> Jet:
+def eval_f_jet(s: Fraction, n: int, order: int) -> Jet:
     """Jet of the alternating-sum side at s, to the requested order.
 
     Term k is the jet of s/(s+k), so derivative j of the result is the
@@ -222,7 +222,7 @@ def _f_jet_column(s: Fraction, ns: Collection[int], order: int) -> dict[int, Jet
     return jets
 
 
-def eval_g_jet(s: Rational, n: int, order: int) -> Jet:
+def eval_g_jet(s: Fraction, n: int, order: int) -> Jet:
     """Jet of the product side  prod_{k=1..n} k/(s+k)  at s."""
     s = _check(s, n)
     var = jet_variable(s, order)
@@ -260,7 +260,7 @@ def _conditioning_tails(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> 
     return {n: dict(zip(shapes, row)) for n, row in sums.items()}
 
 
-def tail_prob_exact(m: int, s: Rational, n: int) -> Rational:
+def tail_prob_exact(m: int, s: Fraction, n: int) -> Fraction:
     """Exact P(T_m > X_(n)) with the two routes computed and cross-checked.
 
     Both the derivative route and the conditioning route are always
@@ -387,7 +387,7 @@ def _tail_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Rows:
     return {n: {m: (via_derivatives[n][m], via_conditioning[n][m]) for m in ms} for n in ns}
 
 
-def binomial_invert(values: Sequence[Rational]) -> list[Rational]:
+def binomial_invert(values: Sequence[Fraction]) -> list[Fraction]:
     """Alternating binomial transform  b_n = sum_{k=0..n} (-1)^k C(n,k) a_k.
 
     The transform is an involution: applying it twice recovers the input.
@@ -437,7 +437,7 @@ def verify(identity: IdentityId, params: IdentityParams) -> VerificationReport:
 
 def sweep(
     identities: Iterable[IdentityId] | None = None,
-    s_grid: Iterable[Rational] = DEFAULT_S_GRID,
+    s_grid: Iterable[Fraction] = DEFAULT_S_GRID,
     n_values: Iterable[int] | None = None,
     m_values: Iterable[int] | None = None,
 ) -> list[VerificationReport]:

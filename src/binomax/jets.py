@@ -31,7 +31,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DivisionByZeroJet, MixedJets, OrderExceeded
-from .exact import Rational, check_natural
+from .exact import check_natural
 
 _Scalar = (int, Fraction)
 
@@ -41,7 +41,7 @@ class Jet:
 
     __slots__ = ("_point", "_nums", "_den")
 
-    def __init__(self, base_point: Rational | None, coeffs: tuple[Rational, ...]) -> None:
+    def __init__(self, base_point: Fraction | None, coeffs: tuple[Fraction, ...]) -> None:
         coeffs = tuple(map(Fraction, coeffs))
         if len(coeffs) < 1:
             raise ValueError("a jet needs at least the order-0 coefficient")
@@ -50,7 +50,7 @@ class Jet:
         self._point, self._nums, self._den = base_point, nums, den
 
     @classmethod
-    def _over(cls, point: Rational | None, nums: tuple[int, ...], den: int) -> Jet:
+    def _over(cls, point: Fraction | None, nums: tuple[int, ...], den: int) -> Jet:
         """The jet with coefficients nums[i]/den, for den > 0."""
         jet = object.__new__(cls)
         jet._point, jet._nums, jet._den = point, nums, den
@@ -78,16 +78,16 @@ class Jet:
         return len(self._nums) - 1
 
     @property
-    def value(self) -> Rational:
+    def value(self) -> Fraction:
         return Fraction(self._nums[0], self._den)
 
-    def derivative(self, k: int) -> Rational:
+    def derivative(self, k: int) -> Fraction:
         """The exact k-th derivative at the expansion point: k! * coeffs[k]."""
         if check_natural(k, "k") > self.order:
             raise OrderExceeded(f"derivative order {k} beyond jet order {self.order}")
         return factorial(k) * Fraction(self._nums[k], self._den)
 
-    def _merge_point(self, other: Jet) -> Rational | None:
+    def _merge_point(self, other: Jet) -> Fraction | None:
         if len(self._nums) != len(other._nums):
             raise MixedJets(f"jet orders differ: {self.order} vs {other.order}")
         return _merge_points(self._point, other._point)
@@ -157,7 +157,7 @@ class Jet:
         rhs = self._coerce(other)
         return NotImplemented if rhs is None else rhs.__truediv__(self)
 
-    def taylor_sums(self, h: Rational) -> tuple[list[int], int]:
+    def taylor_sums(self, h: Fraction) -> tuple[list[int], int]:
         """The Taylor polynomials of every degree d = 0..order at displacement h,
         sum_{i<=d} coeffs[i] h^i, as integer numerators over one positive
         denominator (not in lowest terms): prefix sums of integers, no gcd."""
@@ -167,7 +167,7 @@ class Jet:
         return list(accumulate(terms)), self._den * b ** k
 
 
-def _merge_points(point: Rational | None, other: Rational | None) -> Rational | None:
+def _merge_points(point: Fraction | None, other: Fraction | None) -> Fraction | None:
     """The expansion point of a combination: None defers to the other point."""
     if point is None or point is other:
         return other
@@ -208,7 +208,7 @@ class JetBlock:
                          self._den)
 
 
-def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:
+def jet_constant(c: Fraction, order: int, at: Fraction | None = None) -> Jet:
     """Jet of the constant function c: all derivative coefficients zero."""
     check_natural(order, "order")
     c = Fraction(c)
@@ -216,7 +216,7 @@ def jet_constant(c: Rational, order: int, at: Rational | None = None) -> Jet:
     return Jet._over(point, (c.numerator,) + (0,) * order, c.denominator)
 
 
-def jet_variable(s: Rational, order: int) -> Jet:
+def jet_variable(s: Fraction, order: int) -> Jet:
     """Jet of the identity function at s: value s, first derivative 1."""
     check_natural(order, "order")
     s = Fraction(s)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientSamples, NRequired
-from .exact import Rational, check_natural, check_positive
+from .exact import check_natural, check_positive
 from .identities import eval_basic_rhs, tail_prob_exact
 
 MIN_SAMPLES = 10_000
@@ -122,7 +122,7 @@ class MonteCarloEstimate:
     estimate: float
     std_error: float
     samples: int
-    exact_reference: Rational | None = None
+    exact_reference: Fraction | None = None
 
     def within_sigma(self, k: float) -> bool:
         """True when the estimate is within k standard errors of the exact value r.
@@ -148,7 +148,7 @@ def _exact_s(s) -> Fraction | None:
 def estimate_tail_prob(m: int, s, n: int, samples: int, cfg: RngConfig) -> MonteCarloEstimate:
     """Empirical P(gamma(s, m) > max of n unit exponentials) from paired draws.
 
-    When s is exact (int or Rational) the matching exact tail probability
+    When s is exact (int or Fraction) the matching exact tail probability
     is attached as the reference.  Draw order is fixed: all gamma
     variates first, then all maxima.
     """

@@ -370,6 +370,30 @@ class TestFormats:
         assert out == ""
         assert not path.exists()
 
+    # The parameters of each manifest in their written order.  test_golden.py
+    # hashes JSON with sorted keys, so only this test sees that order.
+    MANIFEST_CASES = {
+        "verify": (["verify", "--identity", "basic", "--s", "1", "--n", "1"],
+                   ["identity", "s", "n", "m", "format"]),
+        "quadrature": (["quadrature", "--s", "1", "--n", "1"], ["s", "n", "tol", "format"]),
+        "simulate": (["simulate", "--suite", "lemma1", "--n", "1", "--samples", "10000",
+                      "--seed", "1"], ["suite", "n", "m", "s", "samples", "format"]),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    @pytest.mark.parametrize("command", MANIFEST_CASES)
+    def test_manifest_names_its_command_and_pins_its_parameters(self, capsys, command, fmt):
+        argv, keys = self.MANIFEST_CASES[command]
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == EXIT_OK
+        first = out.split("\n", 1)[0]
+        manifest = (json.loads(out)["manifest"] if fmt == "json"
+                    else json.loads(first.removeprefix("# manifest: ")) if fmt == "csv"
+                    else json.loads(first.removeprefix("manifest: `").removesuffix("`")))
+        assert manifest["command"] == command
+        assert list(manifest["parameters"]) == keys
+        assert manifest["parameters"]["format"] == fmt
+
 
 def oracle_fmt(value):
     """The cell rule of the old whole-report renderer, kept as the oracle
@@ -537,6 +561,28 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,usage", [
+        (["--help"], "usage: binomax [-h]"),
+        (["verify", "--help"], "usage: binomax verify [-h]"),
+    ], ids=["top", "verify"])
+    def test_help_exits_ok_on_stdout(self, capsys, argv, usage):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.startswith(usage)
+        assert err == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-flag", "no-command"])
+    def test_argparse_error_text_with_usage_status(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")  # so the usage line does not wrap
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == ("usage: binomax [-h] {verify,quadrature,simulate} ...\n"
+                       f"binomax: error: {message}\n")
+
     def test_malformed_n_list(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "basic", "--n", "x..y")
         assert code == EXIT_USAGE
@@ -593,7 +639,12 @@ class TestUsage:
         ("verify", "--identity", "basic", "--n", "5..1"),
         ("quadrature", "--s", "1", "--n", "5..1"),
         ("simulate", "--suite", "lemma1", "--n", "5..1"),
-    ], ids=["verify", "quadrature", "simulate"])
+        # a reversed span inside a list is refused too, not skipped
+        ("verify", "--identity", "basic", "--s", "1", "--n", "5..1,7"),
+        ("quadrature", "--s", "1", "--n", "3..2,1"),
+        ("simulate", "--suite", "lemma1", "--n", "2..1,5"),
+    ], ids=["verify", "quadrature", "simulate", "verify-span-in-list",
+            "quadrature-span-in-list", "simulate-span-in-list"])
     def test_empty_grid_is_usage_error(self, capsys, argv):
         # a grid with no points must not pass vacuously
         code, out, err = run_cli(capsys, *argv)

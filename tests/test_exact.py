@@ -17,7 +17,7 @@ rationals = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**
 
 
 class TestFieldLaws:
-    """Rational must behave as an exact field under random operands."""
+    """Fraction must behave as an exact field under random operands."""
 
     @given(rationals, rationals, rationals)
     def test_add_associative_commutative(self, a, b, c):
