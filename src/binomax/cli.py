@@ -102,7 +102,8 @@ def _write_report(out, head: dict, rows: list[dict], fmt: str) -> None:
 
 
 def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
-    """Accept 'N', 'A..B' (inclusive), or a comma list of these.
+    """Accept 'N', 'A..B' (inclusive), or a comma list of these, and return
+    the set of its values in ascending order: a repeated value is one grid point.
 
     An empty span (say '5..1'), even inside a list, is an error: it would
     check nothing, and on its own would pass every check.  So is a list of
@@ -121,11 +122,10 @@ def _parse_int_list(text: str, name: str, minimum: int = 0) -> list[int]:
     count = sum(hi - lo + 1 for lo, hi in spans)
     if count > MAX_GRID_VALUES:
         raise ValueError(f"{name} list {text!r} has {count} values, more than {MAX_GRID_VALUES}")
-    out = [v for lo, hi in spans for v in range(lo, hi + 1)]
-    for v in out:
-        if v < minimum:
-            raise ValueError(f"{name} values must be >= {minimum}, got {v}")
-    return out
+    for lo, _ in spans:
+        if lo < minimum:
+            raise ValueError(f"{name} values must be >= {minimum}, got {lo}")
+    return sorted({v for lo, hi in spans for v in range(lo, hi + 1)})
 
 
 def _parse_rational_loose(text: str) -> Fraction:
@@ -138,10 +138,9 @@ def _parse_rational_loose(text: str) -> Fraction:
             value = float(text)
         except ValueError:
             raise ValueError(f"--s {text!r} is not 'p/q', an integer or a decimal") from None
-        if value == 0 and Decimal(text) > 0:  # a positive decimal whose float underflows
-            value = Fraction(Decimal(text))
-        if value == math.inf and Decimal(text).is_finite():  # a decimal whose float overflows
-            raise ValueError(f"--s {text} is beyond the float64 range") from None
+        if value in (0, math.inf) and 0 < Decimal(text) < math.inf:  # its float under- or overflows
+            side = "below" if value == 0 else "beyond"
+            raise ValueError(f"--s {text} is {side} the float64 range")
     s = Fraction(check_positive(value, "--s"))
     try:
         tiny = float(s) == 0
@@ -163,8 +162,8 @@ def _parse_exact_s(text: str) -> Fraction:
 
 def _cmd_verify(args) -> tuple[dict, list[dict], bool]:
     identities = list(IdentityId) if args.identity == "all" else [IdentityId(args.identity)]
-    s_grid = ([_parse_exact_s(tok) for tok in args.s.split(",")] if args.s is not None
-              else list(DEFAULT_S_GRID))
+    s_grid = (list(dict.fromkeys(map(_parse_exact_s, args.s.split(",")))) if args.s is not None
+              else list(DEFAULT_S_GRID))  # each s once, in the order the manifest echoes
     explicit_n = _parse_int_list(args.n, "--n") if args.n is not None else None
     explicit_m = _parse_int_list(args.m, "--m", minimum=1) if args.m is not None else None
 
@@ -196,12 +195,11 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
     # (0, 1]; from 10*tol >= 1 on, that gate would pass any value in [0, 1].
     if not (tol >= TOLERANCE_FLOOR and 10 * tol < 1):
         raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g} and < 0.1, got {tol:g}")
-    s_values = [float(_parse_rational_loose(tok)) for tok in args.s.split(",")]
-    n_values = _parse_int_list(args.n, "--n")
+    s_values = sorted({float(_parse_rational_loose(tok)) for tok in args.s.split(",")})
 
     rows = []
-    for n in sorted(set(n_values)):
-        for s in sorted(set(s_values)):
+    for n in _parse_int_list(args.n, "--n"):
+        for s in s_values:
             num, den = _basic_rhs_pair(s, n)
             exact = num / den  # correctly rounded: float(eval_basic_rhs(s, n)) without the gcd
             row = {
@@ -247,8 +245,8 @@ def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
     _check_samples(samples, name="--samples")  # lemma1 calls no estimator that checks it
     s = _parse_rational_loose(args.s)
     check_natural(args.m, "--m", 1)
-    # Canonical row order; streams follow it.
-    n_values = sorted(set(_parse_int_list(args.n, "--n", minimum=1))) if args.n is not None else None
+    # Ascending distinct n, the canonical row order; streams follow it.
+    n_values = _parse_int_list(args.n, "--n", minimum=1) if args.n is not None else None
 
     rows = []
     if args.suite == "lemma1":

@@ -108,7 +108,7 @@ def _check(s: Fraction, n: int, m: int = 1) -> Fraction:
     return s
 
 
-# Evaluation by column: every n of a grid ns and m of shapes ms at one checked s.
+# Evaluation by column at one checked s: every n of distinct ns, m of ascending distinct ms.
 _Tails = dict[int, dict[int, Fraction]]  # n -> {m: tail probability}
 _Rows = dict[int, dict[int, tuple[Fraction, Fraction]]]  # n -> {m: (lhs, rhs)}
 
@@ -138,10 +138,10 @@ def _blocks(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]:
     return blocks
 
 
-def _binomial_sums(ns: Iterable[int], columns: Iterable[Iterable[tuple[int, int]]]
+def _binomial_sums(ns: Collection[int], columns: Iterable[Iterable[tuple[int, int]]]
                    ) -> dict[int, list[Fraction]]:
-    """sum_{k=0..n} (-1)^k C(n,k) a_k/b_k, exactly, for every n in ns and every
-    column of integer pairs (a_k, b_k), k = 0..max(ns): n -> one sum per column.
+    """sum_{k=0..n} (-1)^k C(n,k) a_k/b_k, exactly, for every n of the distinct ns
+    and every column of integer pairs (a_k, b_k), k = 0..max(ns): n -> one sum per column.
 
     The pairs need not be in lowest terms.  Each column is put in blocks
     once; each n's row of signed binomials is built once for all columns,
@@ -149,7 +149,6 @@ def _binomial_sums(ns: Iterable[int], columns: Iterable[Iterable[tuple[int, int]
     cross-multiplied together once and made a Fraction at the end.  Every
     column must hold exactly max(ns) + 1 pairs, else ValueError.
     """
-    ns = set(ns)
     size = max(ns) + 1
     blocked = [_blocks(column) for column in columns]
     if any(sum(len(nums) for _, nums in blocks) != size for blocks in blocked):
@@ -240,10 +239,10 @@ def _derivative_tails(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _T
     s^k/k! * f^(k)(s) = s^k * coeffs[k], so the tails are the Taylor sums at
     displacement -s of one jet of f of order max(ms) - 1 per n.
     """
-    tails, shapes = {}, set(ms)
-    for n, jet in _f_jet_column(s, ns, max(shapes) - 1).items():
+    tails = {}
+    for n, jet in _f_jet_column(s, ns, ms[-1] - 1).items():
         nums, den = jet.taylor_sums(-s)
-        tails[n] = {m: Fraction(nums[m - 1], den) for m in shapes}
+        tails[n] = {m: Fraction(nums[m - 1], den) for m in ms}
     return tails
 
 
@@ -251,13 +250,12 @@ def _conditioning_tails(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> 
     """The same tail probability by conditioning on the gamma variable, every n in ns, m in ms:
 
     sum_{k=0..n} (-1)^k C(n,k) (s/(s+k))^m; for s = p/q, term k is the
-    integer pair (p^m, (p+kq)^m), one column per distinct m.
+    integer pair (p^m, (p+kq)^m), one column per m.
     """
-    shapes = sorted(set(ms))
     p, q = s.numerator, s.denominator
     shifted = range(p, p + max(ns) * q + 1, q)
-    sums = _binomial_sums(ns, [zip(repeat(p ** m), map(pow, shifted, repeat(m))) for m in shapes])
-    return {n: dict(zip(shapes, row)) for n, row in sums.items()}
+    sums = _binomial_sums(ns, [zip(repeat(p ** m), map(pow, shifted, repeat(m))) for m in ms])
+    return {n: dict(zip(ms, row)) for n, row in sums.items()}
 
 
 def tail_prob_exact(m: int, s: Fraction, n: int) -> Fraction:
@@ -331,15 +329,14 @@ def _general_m_rows(s: Fraction, ns: Collection[int], ms: Sequence[int]) -> _Row
     are the pairs (h_m, d^m), h_m = d h_{m-1} + p^m, built once per j;
     each m's right side at n is the alternating sum of them at n - 1.
     """
-    shapes = sorted(set(ms))
-    lhs = _conditioning_tails(s, ns, shapes)
+    lhs = _conditioning_tails(s, ns, ms)
     p, q = s.numerator, s.denominator
-    p_powers = list(accumulate(repeat(p, shapes[-1]), mul))
+    p_powers = list(accumulate(repeat(p, ms[-1]), mul))
     partials = [list(zip(accumulate(p_powers, lambda h, p_power: h * d + p_power),
                          accumulate(repeat(d), mul)))
                 for d in range(p + q, p + max(ns) * q + 1, q)]
-    sums = _binomial_sums([n - 1 for n in ns], [[g[m - 1] for g in partials] for m in shapes])
-    return {n: {m: (lhs[n][m], Fraction(n) / s * rhs) for m, rhs in zip(shapes, sums[n - 1])}
+    sums = _binomial_sums([n - 1 for n in ns], [[g[m - 1] for g in partials] for m in ms])
+    return {n: {m: (lhs[n][m], Fraction(n) / s * rhs) for m, rhs in zip(ms, sums[n - 1])}
             for n in ns}
 
 
@@ -467,8 +464,8 @@ def sweep(
             plan.append((identity, _row_evaluator(identity, min(ns))[0], ns, ms))
     reports: list[VerificationReport] = []
     for identity, evaluate, ns, ms in plan:
-        distinct_ns = set(ns)
-        rows = {s: evaluate(s, distinct_ns, ms) for s in dict.fromkeys(s_grid)}
+        distinct_ns, shapes = set(ns), sorted(set(ms))
+        rows = {s: evaluate(s, distinct_ns, shapes) for s in dict.fromkeys(s_grid)}
         for n, m, s in product(ns, ms, s_grid):
             lhs, rhs = rows[s][n][m]
             reports.append(VerificationReport(identity=identity, params=IdentityParams(s, n, m),

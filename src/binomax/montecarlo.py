@@ -76,6 +76,8 @@ def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndar
     reduction reads only that row, so the values are bit-identical to
     reducing the whole matrix at once.
     """
+    if max(size, k) > np.iinfo(np.intp).max // 8:  # numpy's own refusal names no size
+        raise MemoryError(f"{size} x {k} draws are past numpy's index range")
     out = np.empty(size)
     block = min(_CHUNK_ROWS, max(1, _CHUNK_VALUES // k))
     buf = np.empty(min(size, block) * k)

@@ -665,6 +665,56 @@ class TestUsage:
         assert out == ""
         assert f"more than {MAX_GRID_VALUES}" in err
 
+    def test_int_list_is_the_ascending_set_of_its_values(self):
+        assert _parse_int_list("5,1..3,2", "--n") == [1, 2, 3, 5]
+        # the first value below the minimum is named, in the order written
+        with pytest.raises(ValueError, match=r"--m values must be >= 1, got -2$"):
+            _parse_int_list("3,-2..4,0", "--m", minimum=1)
+
+    @pytest.mark.parametrize("argv,rows", [
+        (("verify", "--identity", "basic", "--s", "1,1", "--n", "2,1,2"), [("1", "1"), ("2", "1")]),
+        (("verify", "--identity", "general_m", "--s", "1", "--n", "1", "--m", "2,2"), [("1", "2")]),
+    ], ids=["s-and-n", "m"])
+    def test_repeated_grid_value_is_checked_once(self, capsys, argv, rows):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        head, columns, *body = out.splitlines()
+        table = list(csv.DictReader([columns, *body]))
+        assert [(row["n"], row["m"]) for row in table] == rows
+        parameters = json.loads(head.removeprefix("# manifest: "))["parameters"]
+        assert parameters["s"] == "1"
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        assert (parameters["n"], parameters["m"]) == (flags["--n"], flags.get("--m", "default"))
+
+    @pytest.mark.parametrize("argv", [
+        ("quadrature", "--s", "1e-3000000", "--n", "3"),
+        ("simulate", "--suite", "tail", "--s", "1e-3000000"),
+    ], ids=["quadrature", "simulate"])
+    def test_decimal_s_far_below_float_range_is_refused_from_its_text(self, capsys, argv):
+        # decided from the decimal, without building its 10^3000000 denominator
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "binomax: error: --s 1e-3000000 is below the float64 range\n"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--suite", "lemma1", "--samples", "10000000000000000000", "--seed", "1"),
+        ("simulate", "--suite", "lemma1", "--samples", "4611686018427387904"),
+        ("simulate", "--suite", "tail", "--n", "10000000000000000000", "--samples", "10000"),
+    ], ids=["samples-past-dimension", "samples-past-bytes", "n-past-dimension"])
+    def test_size_past_numpy_index_range_names_its_flags(self, capsys, argv):
+        # numpy's own refusal names no flag; the out-of-memory line does
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        (line,) = err.splitlines()
+        assert line.startswith("binomax: error: out of memory (")
+        assert line.endswith("; lower --samples or --n")
+
     def test_grid_limit_is_inclusive(self):
         assert len(_parse_int_list(f"1..{MAX_GRID_VALUES}", "n")) == MAX_GRID_VALUES
         with pytest.raises(ValueError, match="more than"):

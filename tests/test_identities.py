@@ -393,6 +393,26 @@ class TestVerifyAndSweep:
         assert len(reports) == 3 * 4 * 3
         assert sorted(calls) == sorted((s, [0, 3, 5], 2) for s in s_grid)
 
+    def test_sweep_hands_row_functions_distinct_grids(self, monkeypatch):
+        # sweep makes the grids canonical once, so the kernels need not: the
+        # derivative route gets distinct n and ascending distinct shapes,
+        # while the reports still hold one row per point of the caller's grids
+        seen = []
+        real = identities._derivative_tails
+
+        def spy(s, ns, ms):
+            seen.append((sorted(ns), len(ns), list(ms)))
+            return real(s, ns, ms)
+
+        monkeypatch.setattr(identities, "_derivative_tails", spy)
+        identity = IdentityId.TAIL_DERIVATIVE_FORM
+        reports = sweep([identity], [ONE], [3, 1], [3, 1, 3])
+        assert seen == [([1, 3], 2, [1, 3])]
+        assert reports == sorted(
+            (verify(identity, IdentityParams(ONE, n, m)) for n in [3, 1] for m in [3, 1, 3]),
+            key=lambda r: (r.params.n, r.params.m))
+        assert len(reports) == 6
+
     def test_sweep_tail_routes_stay_independent(self, monkeypatch):
         # shifting the jet's value moves the derivative route only: the
         # conditioning route never reads the jet
