@@ -66,8 +66,6 @@ class IdentityId(enum.Enum):
 #: Identities whose value depends on the gamma shape parameter m.
 USES_M = frozenset({IdentityId.GENERAL_M, IdentityId.TAIL_DERIVATIVE_FORM})
 
-_RANK = {ident: i for i, ident in enumerate(IdentityId)}
-
 
 @dataclass(frozen=True)
 class IdentityParams:
@@ -438,37 +436,38 @@ def sweep(
     n_values: Iterable[int] | None = None,
     m_values: Iterable[int] | None = None,
 ) -> list[VerificationReport]:
-    """Verify identities over a parameter grid.
+    """Verify identities over a parameter grid, one report per distinct point.
 
-    Reports come back in a canonical order, sorted on
-    (identity, n, m, s), regardless of evaluation order.  Identities
-    that ignore m contribute one row per (s, n) with m = 1.  The default
-    n grid runs from each identity's smallest n to DEFAULT_N_MAX.
+    Each grid, the identities included, is read as the ascending set of its
+    values, and the reports are built in the canonical (identity, n, m, s)
+    order.  Identities that ignore m contribute one row per (s, n) with m = 1.
+    The default n grid runs from each identity's smallest n to DEFAULT_N_MAX.
     Before anything is evaluated, every value of the s, n and m grids is
-    checked once, in that order, and then each identity is looked up (even
-    when a grid is empty) and its domain checked on its n grid.  Each
-    (identity, s) is then evaluated once for all n and m.
+    checked once, in that order, and then each identity is looked up in the
+    order given (even when a grid is empty) and its domain checked on its n
+    grid.  Each (identity, s) is then evaluated once for all n and m.
     """
     chosen = list(identities) if identities is not None else list(IdentityId)
     # Each grid is read and checked once: a generator would be used up by the first identity.
-    s_grid = [Fraction(check_positive(s)) for s in s_grid]
-    n_grid = [check_natural(n, "n") for n in n_values] if n_values is not None else None
-    m_grid = ([check_natural(m, "m", 1) for m in m_values] if m_values is not None
+    s_grid = sorted({Fraction(check_positive(s)) for s in s_grid})
+    n_grid = sorted({check_natural(n, "n") for n in n_values}) if n_values is not None else None
+    m_grid = (sorted({check_natural(m, "m", 1) for m in m_values}) if m_values is not None
               else list(range(1, DEFAULT_M_MAX + 1)))
-    plan = []
+    plan = {}
     for identity in chosen:
         first_n = _row_evaluator(identity)[1]
         ns = n_grid if n_grid is not None else range(first_n, DEFAULT_N_MAX + 1)
         ms = m_grid if identity in USES_M else [1]
         if s_grid and ns and ms:
-            plan.append((identity, _row_evaluator(identity, min(ns))[0], ns, ms))
+            plan[identity] = (_row_evaluator(identity, ns[0])[0], ns, ms)
     reports: list[VerificationReport] = []
-    for identity, evaluate, ns, ms in plan:
-        distinct_ns, shapes = set(ns), sorted(set(ms))
-        rows = {s: evaluate(s, distinct_ns, shapes) for s in dict.fromkeys(s_grid)}
+    for identity in IdentityId:
+        if identity not in plan:
+            continue
+        evaluate, ns, ms = plan[identity]
+        rows = {s: evaluate(s, set(ns), ms) for s in s_grid}  # a set: row functions test n in ns
         for n, m, s in product(ns, ms, s_grid):
             lhs, rhs = rows[s][n][m]
             reports.append(VerificationReport(identity=identity, params=IdentityParams(s, n, m),
                                               lhs=lhs, rhs=rhs))
-    reports.sort(key=lambda r: (_RANK[r.identity], r.params.n, r.params.m, r.params.s))
     return reports

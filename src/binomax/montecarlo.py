@@ -64,6 +64,12 @@ def _check_samples(count, minimum: int = MIN_SAMPLES, name: str = "samples") -> 
         raise InsufficientSamples(f"{name} must be an integer >= {minimum}, got {count!r}")
 
 
+def _check_index_range(size: int, k: int) -> None:
+    """Refuse a size x k draw matrix past numpy's index range (numpy's refusal names no size)."""
+    if max(size, k) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{size} x {k} draws are past numpy's index range")
+
+
 def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndarray:
     """Row reductions of a size x k matrix of unit-rate exponential draws,
     as one length-``size`` vector.
@@ -76,8 +82,7 @@ def _reduced_exp(rng: np.random.Generator, size: int, k: int, reduce) -> np.ndar
     reduction reads only that row, so the values are bit-identical to
     reducing the whole matrix at once.
     """
-    if max(size, k) > np.iinfo(np.intp).max // 8:  # numpy's own refusal names no size
-        raise MemoryError(f"{size} x {k} draws are past numpy's index range")
+    _check_index_range(size, k)
     out = np.empty(size)
     block = min(_CHUNK_ROWS, max(1, _CHUNK_VALUES // k))
     buf = np.empty(min(size, block) * k)
@@ -108,6 +113,7 @@ def sample_max_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 def sample_sum_exp(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sum of independent draws Exp(1) + Exp(2) + ... + Exp(n), ``size`` times."""
     _check_n(n)
+    _check_index_range(size, n)  # before the 8n bytes of rates
     rates = np.arange(1, n + 1, dtype=np.float64)
     return _reduced_exp(rng, size, n, _row_sums_over(rates))
 

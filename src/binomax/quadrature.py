@@ -54,8 +54,12 @@ def adaptive_simpson(
     first look can sit entirely off a narrow peak and report a tiny
     error for a wrong value, so the estimator must see at least
     2^_MIN_DEPTH panels first.  Raises :class:`ToleranceNotMet` once an
-    interval still fails its tolerance at ``_MAX_DEPTH`` subdivisions.
+    interval still fails its tolerance at ``_MAX_DEPTH`` subdivisions; a
+    negative or NaN ``tol`` is refused with ValueError before f is called.
     """
+    tol = float(tol)
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol:g}")
     if a == b:
         f(a)
         return QuadratureResult(0.0, 0.0, 1)
@@ -101,7 +105,7 @@ def adaptive_simpson(
     mid = 0.5 * (a + b)
     fmid = f(mid)
     whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    value, err = refine(a, fa, mid, fmid, b, fb, whole, float(tol), 0)
+    value, err = refine(a, fa, mid, fmid, b, fb, whole, tol, 0)
     return QuadratureResult(value, err, 3 + 2 * refines)
 
 

@@ -56,6 +56,18 @@ class TestVerifyCommand:
         identities_seen = {row["identity"] for row in report["rows"]}
         assert identities_seen == {i.value for i in identities.IdentityId}
 
+    def test_repeated_grid_gives_the_rows_of_sweep(self, capsys):
+        # the CLI and the library read a repeated grid the same way: one row
+        # per distinct point, in the same order
+        code, report, _ = run_json(capsys, "verify", "--identity", "tail_derivative_form",
+                                   "--s", "3,1/2,3", "--n", "4,1,4", "--m", "2,1,2")
+        assert code == EXIT_OK
+        points = [(row["s"], row["n"], row["m"]) for row in report["rows"]]
+        reports = identities.sweep([identities.IdentityId.TAIL_DERIVATIVE_FORM],
+                                   [Fraction(3), Fraction(1, 2), Fraction(3)], [4, 1, 4], [2, 1, 2])
+        assert points == [(format_rational(r.params.s), r.params.n, r.params.m) for r in reports]
+        assert len(points) == 8
+
     def test_precondition_error_exits_one(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--identity", "general_m", "--n", "0", "--m", "1", "--s", "1")

@@ -365,16 +365,15 @@ class TestVerifyAndSweep:
     @pytest.mark.parametrize("m_values", [[3, 1, 3], [2, 5]], ids=["repeated", "gapped"])
     def test_sweep_matches_per_point_verify(self, identity, m_values):
         # each (identity, s, n) is evaluated once for all m; the rows must
-        # be exactly those of verifying every point on its own, duplicates
-        # and ordering included
+        # be exactly those of verifying every distinct point on its own, in
+        # the canonical (n, m, s) order
         s_grid = [Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(1000, 3)]
         n_values = [4, 1, 7]
         reports = sweep([identity], s_grid, n_values, m_values)
         ms = m_values if identity in identities.USES_M else [1]
-        expected = sorted(
-            (verify(identity, IdentityParams(s, n, m)) for n in n_values for m in ms for s in s_grid),
-            key=lambda r: (r.params.n, r.params.m, r.params.s),
-        )
+        expected = [verify(identity, IdentityParams(s, n, m))
+                    for n in sorted(set(n_values)) for m in sorted(set(ms))
+                    for s in sorted(set(s_grid))]
         assert reports == expected
         assert all(r.equal for r in reports)
 
@@ -390,13 +389,13 @@ class TestVerifyAndSweep:
         monkeypatch.setattr(identities, "_f_jet_column", counting)
         s_grid = [Fraction(1, 7), Fraction(2), Fraction(10)]
         reports = sweep([IdentityId.TAIL_DERIVATIVE_FORM], s_grid, [3, 0, 5], [3, 1, 3, 2])
-        assert len(reports) == 3 * 4 * 3
+        assert len(reports) == 3 * 3 * 3
         assert sorted(calls) == sorted((s, [0, 3, 5], 2) for s in s_grid)
 
     def test_sweep_hands_row_functions_distinct_grids(self, monkeypatch):
         # sweep makes the grids canonical once, so the kernels need not: the
         # derivative route gets distinct n and ascending distinct shapes,
-        # while the reports still hold one row per point of the caller's grids
+        # and the reports hold one row per distinct point
         seen = []
         real = identities._derivative_tails
 
@@ -408,10 +407,18 @@ class TestVerifyAndSweep:
         identity = IdentityId.TAIL_DERIVATIVE_FORM
         reports = sweep([identity], [ONE], [3, 1], [3, 1, 3])
         assert seen == [([1, 3], 2, [1, 3])]
-        assert reports == sorted(
-            (verify(identity, IdentityParams(ONE, n, m)) for n in [3, 1] for m in [3, 1, 3]),
-            key=lambda r: (r.params.n, r.params.m))
-        assert len(reports) == 6
+        assert reports == [verify(identity, IdentityParams(ONE, n, m))
+                           for n in [1, 3] for m in [1, 3]]
+        assert len(reports) == 4
+
+    def test_sweep_reads_each_grid_as_its_set(self):
+        # repeated or unsorted values, identities included, give the
+        # reports of the set: one per distinct point, in canonical order
+        tail, basic = IdentityId.TAIL_DERIVATIVE_FORM, IdentityId.BASIC
+        half = Fraction(1, 2)
+        reports = sweep([tail, basic, tail], [Fraction(3), half, Fraction(3)], [4, 1, 4], [2, 1, 2])
+        assert reports == sweep([basic, tail], [half, Fraction(3)], [1, 4], [1, 2])
+        assert len(reports) == 2 * 2 + 2 * 2 * 2
 
     def test_sweep_tail_routes_stay_independent(self, monkeypatch):
         # shifting the jet's value moves the derivative route only: the
@@ -579,16 +586,15 @@ _POOL_S = [Fraction(1, 7), Fraction(1), Fraction(5, 2), Fraction(951, 832), Frac
        st.lists(st.integers(0, 12), min_size=1, max_size=4),
        st.lists(st.integers(1, 4), min_size=1, max_size=3))
 def test_sweep_matches_verify_on_random_grids(identity, s_grid, n_values, m_values):
-    # sweep evaluates each (identity, s) once for all n and m; every point
-    # must read as verifying it on its own, duplicated s and n included
+    # sweep evaluates each (identity, s) once for all n and m; every distinct
+    # point must read as verifying it on its own, duplicated s and n included
     if identity is IdentityId.GENERAL_M:
         n_values = [n + 1 for n in n_values]
     reports = sweep([identity], s_grid, n_values, m_values)
     ms = m_values if identity in identities.USES_M else [1]
-    expected = sorted(
-        (verify(identity, IdentityParams(s, n, m)) for n in n_values for m in ms for s in s_grid),
-        key=lambda r: (r.params.n, r.params.m, r.params.s),
-    )
+    expected = [verify(identity, IdentityParams(s, n, m))
+                for n in sorted(set(n_values)) for m in sorted(set(ms))
+                for s in sorted(set(s_grid))]
     assert reports == expected
     assert all(r.equal for r in reports)
 

@@ -161,6 +161,15 @@ class TestSamplerBits:
             assert blocked.shape == (size,)
             assert blocked.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("sampler", [
+        sample_max_exp, sample_sum_exp,
+        lambda k, rng, size: sample_gamma_integer(k, 1.5, rng, size),
+    ], ids=["max", "sum", "gamma"])
+    def test_row_past_numpy_index_range_is_refused_before_allocation(self, sampler):
+        # one refusal for every sampler, which the CLI reports by flag
+        with pytest.raises(MemoryError, match="draws are past numpy's index range"):
+            sampler(10**19, RngConfig(1).generator(), 10)
+
     def test_sum_peak_memory_is_bounded_by_output_and_blocks(self):
         # the whole 10^6 x 20 draw matrix would be 160 MB
         rng = RngConfig(1).generator()

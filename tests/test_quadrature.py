@@ -112,6 +112,18 @@ class TestAdaptiveSimpson:
         assert r.evaluations >= 1
         assert r.estimated_error >= 0.0
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_bad_tolerance_rejected_before_any_evaluation(self, tol):
+        # a tol no interval can meet is the caller's error, not the integrand's
+        seen = []
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            adaptive_simpson(lambda x: seen.append(x) or x, 0.0, 1.0, tol)
+        assert seen == []
+
+    def test_zero_tolerance_is_exact_for_cubics(self):
+        r = adaptive_simpson(lambda x: x ** 3, 0.0, 2.0, 0.0)
+        assert (r.value, r.estimated_error) == (4.0, 0.0)
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
         with pytest.raises(ToleranceNotMet):
