@@ -187,7 +187,17 @@ def _basic_rhs_pair(s: Fraction, n: int) -> tuple[int, int]:
     rounded, without the gcd that a Fraction costs."""
     s = _check(s, n)
     p, q = s.numerator, s.denominator
-    return factorial(n) * q ** n, prod(range(p + q, p + n * q + 1, q))
+    return factorial(n) * q ** n, _tree_prod(range(p + q, p + n * q + 1, q))
+
+
+def _tree_prod(factors: range) -> int:
+    """prod(factors) as a balanced tree: each product joins two of like
+    size, where a left fold multiplies a growing product by one small
+    factor at a time."""
+    if len(factors) <= 16:
+        return prod(factors)
+    half = len(factors) // 2
+    return _tree_prod(factors[:half]) * _tree_prod(factors[half:])
 
 
 def eval_f_jet(s: Fraction, n: int, order: int) -> Jet:

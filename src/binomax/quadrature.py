@@ -55,11 +55,14 @@ def adaptive_simpson(
     error for a wrong value, so the estimator must see at least
     2^_MIN_DEPTH panels first.  Raises :class:`ToleranceNotMet` once an
     interval still fails its tolerance at ``_MAX_DEPTH`` subdivisions; a
-    negative or NaN ``tol`` is refused with ValueError before f is called.
+    negative or NaN ``tol``, or a non-finite ``a`` or ``b``, is refused
+    with ValueError before f is called.
     """
     tol = float(tol)
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol:g}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a = {a:g}, b = {b:g}")
     if a == b:
         f(a)
         return QuadratureResult(0.0, 0.0, 1)
@@ -127,10 +130,14 @@ def laplace_via_cdf_quadrature(s: float, n: int, tol: float) -> QuadratureResult
 
     The infinite domain is truncated at T = ln(2/tol)/s, where the
     remaining tail is bounded by e^(-sT) < tol/2; the finite part is
-    integrated to tol/2, so the estimated error stays <= tol.
+    integrated to tol/2, so the estimated error stays <= tol.  A T that
+    overflows float64 (s below about 1.3e-307 at tol 1e-10) raises
+    :class:`ToleranceNotMet`.
     """
     s, tol = _check_route_args(s, n, tol, density=False)
     cutoff = math.log(2.0 / tol) / s
+    if cutoff == math.inf:
+        raise ToleranceNotMet(f"truncation point T = ln(2/tol)/s overflows float64 at s = {s:g}")
     exp = math.exp
 
     def integrand(t: float) -> float:

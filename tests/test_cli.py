@@ -132,6 +132,15 @@ class TestQuadratureCommand:
         assert row["note"].startswith("cdf: ")
         assert row["pass"] is False
 
+    def test_cdf_truncation_point_past_float_range_is_named(self, capsys):
+        # ln(2/tol)/s overflows for s below about 1.3e-307 at the default tol
+        code, report, _ = run_json(capsys, "quadrature", "--s", "1e-310", "--n", "1")
+        assert code == EXIT_FAILURE
+        (row,) = report["rows"]
+        assert row["note"] == "cdf: truncation point T = ln(2/tol)/s overflows float64 at s = 1e-310"
+        assert abs(float(row["density_value"]) - 1) <= 1e-9
+        assert row["pass"] is False
+
     def test_exact_value_below_float_range_fails(self, capsys):
         # the exact value is about 6e-900: it reads 0 as a float, and so
         # do both routes, which must not pass against it unchecked

@@ -77,6 +77,16 @@ class TestBasicIdentity:
         assert type(result) is Fraction
         assert result == expected
 
+    @pytest.mark.parametrize("s", [1.557, Fraction(706, 525)])
+    def test_rhs_pair_is_the_left_fold_product(self, s):
+        # the float reference reads this pair; its denominator is built as a tree
+        p, q = Fraction(s).numerator, Fraction(s).denominator
+        for n in (0, 1, 2, 3, 64, 1000, 5000):
+            den = 1
+            for k in range(1, n + 1):
+                den *= p + k * q
+            assert identities._basic_rhs_pair(s, n) == (math.factorial(n) * q ** n, den)
+
     def test_positive_s_required(self):
         for bad in (Fraction(0), Fraction(-3, 2)):
             with pytest.raises(NonPositiveS):

@@ -324,17 +324,23 @@ class TestKsTwoSample:
         assert ours.p_value == pytest.approx(ref.pvalue, abs=0.02)
 
     def test_blocked_statistic_equals_the_concatenated_formula(self):
-        # heavy ties, n1 != n2, and both sides longer than one block of points
         rng = np.random.default_rng(71)
-        xs = np.repeat(np.arange(40.0), 2_000)
-        ys = rng.integers(0, 50, size=2 * _CHUNK_ROWS + 3).astype(np.float64) * 0.75
-        sx, sy = np.sort(xs), np.sort(ys)
-        everything = np.concatenate([sx, sy])
-        reference = float(np.max(np.abs(np.searchsorted(sx, everything, side="right") / len(sx)
-                                        - np.searchsorted(sy, everything, side="right") / len(sy))))
-        result = ks_two_sample(xs, ys)
-        assert result.statistic == reference > 0
-        assert (result.n1, result.n2) == (len(xs), len(ys))
+        cases = [
+            # heavy ties, n1 != n2, and both sides longer than one block of points
+            (np.repeat(np.arange(40.0), 2_000),
+             rng.integers(0, 50, size=2 * _CHUNK_ROWS + 3).astype(np.float64) * 0.75),
+            # tie runs longer than a block in both samples, at shared and own values
+            (np.repeat([0.0, 1.0, 2.5], [3 * _CHUNK_ROWS, 5, _CHUNK_ROWS + 1]),
+             np.repeat([0.5, 1.0, 2.5, 3.0], [7, 2 * _CHUNK_ROWS, 3, 4 * _CHUNK_ROWS])),
+        ]
+        for xs, ys in cases:
+            sx, sy = np.sort(xs), np.sort(ys)
+            everything = np.concatenate([sx, sy])
+            reference = float(np.max(np.abs(np.searchsorted(sx, everything, side="right") / len(sx)
+                                            - np.searchsorted(sy, everything, side="right") / len(sy))))
+            result = ks_two_sample(xs, ys)
+            assert result.statistic == reference > 0
+            assert (result.n1, result.n2) == (len(xs), len(ys))
 
     def test_peak_memory_is_bounded_by_the_sorted_copies(self):
         # the concatenated formula held 2 (n1 + n2) more floats than the sorted copies
@@ -342,13 +348,15 @@ class TestKsTwoSample:
         xs = sample_max_exp(20, RngConfig(3, 0).generator(), size)
         ys = sample_sum_exp(20, RngConfig(3, 1).generator(), size)
         sorted_copies, block = 2 * size * 8, _CHUNK_ROWS * 8
-        tracemalloc.start()
-        try:
-            ks_two_sample(xs, ys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= sorted_copies + 8 * block
+        # and one tie run of the whole sample, which a block never holds
+        for pair in ((xs, ys), (np.full(size, 1.0), ys)):
+            tracemalloc.start()
+            try:
+                ks_two_sample(*pair)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= sorted_copies + 8 * block
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", ["xs", "ys"])

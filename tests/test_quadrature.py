@@ -120,6 +120,14 @@ class TestAdaptiveSimpson:
             adaptive_simpson(lambda x: seen.append(x) or x, 0.0, 1.0, tol)
         assert seen == []
 
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0)])
+    def test_non_finite_bounds_rejected_before_any_evaluation(self, a, b):
+        # the integrand is not to blame for an interval no subdivision can shrink
+        seen = []
+        with pytest.raises(ValueError, match="a and b must be finite"):
+            adaptive_simpson(lambda x: seen.append(x) or x, a, b, 1e-10)
+        assert seen == []
+
     def test_zero_tolerance_is_exact_for_cubics(self):
         r = adaptive_simpson(lambda x: x ** 3, 0.0, 2.0, 0.0)
         assert (r.value, r.estimated_error) == (4.0, 0.0)
