@@ -191,9 +191,7 @@ def _basic_rhs_pair(s: Fraction, n: int) -> tuple[int, int]:
 
 
 def _tree_prod(factors: range) -> int:
-    """prod(factors) as a balanced tree: each product joins two of like
-    size, where a left fold multiplies a growing product by one small
-    factor at a time."""
+    """prod(factors) as a balanced tree, each product of two like-sized halves."""
     if len(factors) <= 16:
         return prod(factors)
     half = len(factors) // 2

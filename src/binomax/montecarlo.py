@@ -30,7 +30,7 @@ from .identities import eval_basic_rhs, tail_prob_exact
 MIN_SAMPLES = 10_000
 MIN_KS_SAMPLES = 100
 
-_CHUNK_ROWS = 1 << 16  # points per block of the KS test, and at most rows per block of draws
+_CHUNK_ROWS = 1 << 16  # at most rows per block of draws, and 4x the points a sample per KS block
 _CHUNK_VALUES = 32 * _CHUNK_ROWS  # values per block of draws, so rows of up to 32 fill _CHUNK_ROWS
 
 
@@ -225,40 +225,6 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _merged_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
-    """max |c1/n1 - c2/n2| over the count pairs (c1, c2) of the values <= v,
-    at every value v of two sorted samples, by one merge (Smirnov, 1948).
-
-    Each block takes both samples' points up to a value v that ends a tie
-    run in both, so a run is never split.  The points below v, at most
-    _CHUNK_ROWS // 4 per sample, are merged by one stable argsort and the
-    gap is read where a tie run ends; the run at v is read once, from its
-    end alone, so memory stays within a block however long the run.  These
-    are the pairs that searchsorted(..., side="right") gives at each point,
-    so the statistic is the same float.
-    """
-    n1, n2 = len(xs), len(ys)
-    step = _CHUNK_ROWS // 4
-    statistic = 0.0
-    i = j = 0  # the points of each sample taken so far
-    while i < n1 or j < n2:
-        v = min(xs[min(i + step, n1) - 1] if i < n1 else math.inf,
-                ys[min(j + step, n2) - 1] if j < n2 else math.inf)
-        below_x, below_y = int(xs.searchsorted(v)), int(ys.searchsorted(v))
-        if i < below_x or j < below_y:
-            both = np.concatenate((xs[i:below_x], ys[j:below_y]))
-            order = both.argsort(kind="stable")
-            merged = both[order]
-            c1 = np.cumsum(order < below_x - i)
-            c2 = np.arange(1, len(both) + 1) - c1
-            ends = np.append(merged[1:] != merged[:-1], True)
-            gap = np.abs((c1[ends] + i) / n1 - (c2[ends] + j) / n2)
-            statistic = max(statistic, float(gap.max()))
-        i, j = int(xs.searchsorted(v, "right")), int(ys.searchsorted(v, "right"))
-        statistic = max(statistic, abs(i / n1 - j / n2))
-    return statistic
-
-
 def ks_two_sample(xs, ys) -> KsResult:
     """Two-sample Kolmogorov-Smirnov test.
 
@@ -281,7 +247,30 @@ def ks_two_sample(xs, ys) -> KsResult:
     # sorted, a nan or +inf is last and a -inf first; a nan is never counted
     if not np.isfinite([xs[0], xs[-1], ys[0], ys[-1]]).all():
         raise ValueError("ks_two_sample needs finite samples")
-    statistic = _merged_statistic(xs, ys)
+    # One merge of the sorted samples (Smirnov, 1948), a block at a time.
+    # Each block ends at a value v that ends a tie run in both samples; its
+    # points below v, at most _CHUNK_ROWS // 4 a sample, are merged by one
+    # stable argsort, and the gap is read where a tie run ends.  The run at
+    # v is read once, from its counts, and never held, however long.  These
+    # are the count pairs that searchsorted(..., side="right") gives at each
+    # point, so the statistic is the same float.
+    statistic, step = 0.0, _CHUNK_ROWS // 4
+    i = j = 0  # the points of each sample counted so far
+    while i < n1 or j < n2:
+        v = min(xs[min(i + step, n1) - 1] if i < n1 else math.inf,
+                ys[min(j + step, n2) - 1] if j < n2 else math.inf)
+        below_x, below_y = int(xs.searchsorted(v)), int(ys.searchsorted(v))
+        if i < below_x or j < below_y:
+            both = np.concatenate((xs[i:below_x], ys[j:below_y]))
+            order = both.argsort(kind="stable")
+            merged = both[order]
+            c1 = np.cumsum(order < below_x - i)
+            c2 = np.arange(1, len(both) + 1) - c1
+            ends = np.append(merged[1:] != merged[:-1], True)
+            gap = np.abs((c1[ends] + i) / n1 - (c2[ends] + j) / n2)
+            statistic = max(statistic, float(gap.max()))
+        i, j = int(xs.searchsorted(v, "right")), int(ys.searchsorted(v, "right"))
+        statistic = max(statistic, abs(i / n1 - j / n2))
     effective = n1 * n2 / (n1 + n2)
     p_value = _kolmogorov_sf(math.sqrt(effective) * statistic)
     return KsResult(statistic, p_value, n1, n2)
