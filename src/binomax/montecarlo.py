@@ -30,7 +30,7 @@ from .identities import eval_basic_rhs, tail_prob_exact
 MIN_SAMPLES = 10_000
 MIN_KS_SAMPLES = 100
 
-_CHUNK_ROWS = 1 << 16  # at most rows per block of draws, and 4x the points a sample per KS block
+_CHUNK_ROWS = 1 << 16  # at most rows per block of draws; a KS block takes a quarter of it a sample
 _CHUNK_VALUES = 32 * _CHUNK_ROWS  # values per block of draws, so rows of up to 32 fill _CHUNK_ROWS
 
 
