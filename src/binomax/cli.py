@@ -34,17 +34,13 @@ from .identities import DEFAULT_S_GRID, IdentityId, _basic_rhs_pair, sweep
 from .montecarlo import (
     RngConfig,
     _check_samples,
+    _ks_sorted,
     empirical_laplace,
     estimate_tail_prob,
-    ks_two_sample,
     sample_max_exp,
     sample_sum_exp,
 )
-from .quadrature import (
-    TOLERANCE_FLOOR,
-    laplace_via_cdf_quadrature,
-    laplace_via_density_quadrature,
-)
+from .quadrature import TOLERANCE_FLOOR, _cdf_batch, _density_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,9 +192,15 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
     if not (tol >= TOLERANCE_FLOOR and 10 * tol < 1):
         raise ValueError(f"--tol must be >= {TOLERANCE_FLOOR:g} and < 0.1, got {tol:g}")
     s_values = sorted({float(_parse_rational_loose(tok)) for tok in args.s.split(",")})
+    n_values = _parse_int_list(args.n, "--n")
+    density_n = [n for n in n_values if n >= 1]  # the density of the max exists only for n >= 1
 
+    results = {}  # (route, s, n) -> its result, or the ToleranceNotMet it raised
+    for s in s_values:  # one batch per route and s: its integrals share one interval
+        for name, batch, ns in (("cdf", _cdf_batch, n_values), ("density", _density_batch, density_n)):
+            results.update(((name, s, n), result) for n, result in zip(ns, batch(s, ns, tol)))
     rows = []
-    for n in _parse_int_list(args.n, "--n"):
+    for n in n_values:
         for s in s_values:
             num, den = _basic_rhs_pair(s, n)
             exact = num / den  # correctly rounded: float(eval_basic_rhs(s, n)) without the gcd
@@ -208,17 +210,13 @@ def _cmd_quadrature(args) -> tuple[dict, list[dict], bool]:
                 "density_value": None, "density_abs_error": None, "density_evaluations": None,
                 "pass": False, "note": "",
             }
-            routes = [("cdf", laplace_via_cdf_quadrature)]
-            if n >= 1:  # the density of the max exists only for n >= 1
-                routes.append(("density", laplace_via_density_quadrature))
             ok = exact != 0  # 0 is a positive value below the float64 range
             notes = [] if ok else ["exact: below the float64 range, not checked"]
-            for name, route in routes:  # one route's failure keeps the other's columns
-                try:
-                    result = route(s, n, tol)
-                except ToleranceNotMet as exc:
+            for name in ("cdf", "density") if n >= 1 else ("cdf",):
+                result = results[name, s, n]  # a failed route leaves the other's columns
+                if isinstance(result, ToleranceNotMet):
                     ok = False
-                    notes.append(f"{name}: {exc}")
+                    notes.append(f"{name}: {result}")
                     continue
                 error = abs(result.value - exact)
                 row[f"{name}_value"] = result.value
@@ -253,7 +251,10 @@ def _cmd_simulate(args) -> tuple[dict, list[dict], bool]:
         for idx, n in enumerate(n_values or [1, 2, 5, 10]):
             xs = sample_max_exp(n, RngConfig(seed, 2 * idx).generator(), size=samples)
             ys = sample_sum_exp(n, RngConfig(seed, 2 * idx + 1).generator(), size=samples)
-            ks = ks_two_sample(xs, ys)
+            xs.sort()  # in place: ks_two_sample would sort copies of both
+            ys.sort()
+            ks = _ks_sorted(xs, ys)
+            del xs, ys  # before the next row's draws
             rows.append({
                 "suite": "lemma1", "n": n, "samples": samples, "seed": seed,
                 "streams": f"{2 * idx},{2 * idx + 1}",

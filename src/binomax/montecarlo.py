@@ -240,7 +240,12 @@ def ks_two_sample(xs, ys) -> KsResult:
     for name, sample in (("xs", xs), ("ys", ys)):
         if sample.ndim != 1:
             raise ValueError(f"{name} must be one-dimensional, got shape {sample.shape}")
-    xs, ys = np.sort(xs), np.sort(ys)
+    return _ks_sorted(np.sort(xs), np.sort(ys))
+
+
+def _ks_sorted(xs: np.ndarray, ys: np.ndarray) -> KsResult:
+    """ks_two_sample of two one-dimensional float64 samples already sorted
+    ascending, read without a copy of either."""
     n1, n2 = len(xs), len(ys)
     _check_samples(n1, MIN_KS_SAMPLES, "len(xs)")
     _check_samples(n2, MIN_KS_SAMPLES, "len(ys)")

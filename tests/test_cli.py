@@ -167,6 +167,25 @@ class TestQuadratureCommand:
             assert row["note"].startswith("exact: below the float64 range")
             assert row["pass"] is False
 
+    def test_integrand_past_the_batch_cap_keeps_its_bytes(self, capsys):
+        # At s = 0.01 the cdf integrand at n = 10000 fails at depth 60; one
+        # level at a time it would hold more than 177 000 open intervals
+        # and keep doubling, so it leaves the batch at quadrature._MAX_OPEN
+        # and the recursion ends it at its first failure, as it always did.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "quadrature", "--s", "0.01,1", "--n", "50,10000",
+                                   "--tol", "1e-13", "--format", "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_FAILURE
+        body = out.split("\n", 1)[1]  # the lines after the manifest
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "4dbf5c1cacf7cb2a33be6866c7781d04c07cf8a56f0649d570443da681f8d9f7")
+        assert "cdf: interval [8.9961, 8.9961] still above tolerance after 60 subdivisions" in body
+        assert peak < 24 * 2**20
+
     def test_tolerance_floor(self, capsys):
         code, _, err = run_cli(capsys, "quadrature", "--tol", "1e-20")
         assert code == EXIT_USAGE
@@ -196,6 +215,21 @@ class TestSimulateCommand:
         assert row["pass"] is True
         assert report["manifest"]["seed"] == 42
         assert report["manifest"]["timestamp"] is None
+
+    def test_lemma1_holds_two_samples_and_one_draw_block(self, capsys):
+        # each row's two samples are sorted in place and released before the
+        # next row's draws; sorted copies would add two more samples
+        samples, n = 1_000_000, 20
+        block = min(montecarlo._CHUNK_ROWS, montecarlo._CHUNK_VALUES // n) * n * 8
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "simulate", "--suite", "lemma1", "--n", str(n),
+                                 "--samples", str(samples), "--seed", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2 * samples * 8 + block + 2 * 2**20
 
     def test_tail_gate(self, capsys):
         code, report, _ = run_json(

@@ -1,10 +1,12 @@
-"""Seeded sampler bytes and simulate reports do not depend on numpy's CPU dispatch.
+"""Seeded sampler bytes and simulate and quadrature reports do not depend on
+numpy's CPU dispatch.
 
 numpy picks SIMD kernels for ``log``, ``exp`` and friends at import, by the
 features the CPU has; ``NPY_DISABLE_CPU_FEATURES`` switches them off for one
-process.  The samplers and the seeded ``simulate`` reports must come out
-byte-identical either way, so that a digest pinned on one machine means the
-same on another with a different dispatch.
+process.  The samplers, the seeded ``simulate`` reports and the golden
+``quadrature`` report (its timestamp masked), whose subdivision schedule runs
+in numpy, must come out byte-identical either way, so that a digest pinned on
+one machine means the same on another with a different dispatch.
 """
 
 import json
@@ -24,9 +26,9 @@ except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 # Prints one sha256 per line: three sampler outputs at 10^6 draws, then the
-# raw bytes of each simulate report (seeded, so its timestamp is null).
+# raw bytes of each report, its timestamp masked (a seeded report has none).
 SCRIPT = """
-import contextlib, hashlib, io, json, sys
+import contextlib, hashlib, io, json, re, sys
 from binomax.cli import main
 from binomax.montecarlo import RngConfig, sample_gamma_integer, sample_max_exp, sample_sum_exp
 
@@ -38,12 +40,13 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(argv)
-    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', out.getvalue())
+    print(hashlib.sha256(text.encode()).hexdigest())
 """
 
 # The golden reports, and the benchmark's laplace run: the golden laplace grid
 # is too small to show np.exp's dispatch-dependent last bits in its mean.
-SIMULATE_REPORTS = [REPORTS[name][0] for name in ("lemma1", "tail", "laplace")] + [
+REPORT_RUNS = [REPORTS[name][0] for name in ("quadrature", "lemma1", "tail", "laplace")] + [
     ["simulate", "--suite", "laplace", "--s", "2", "--n", "1..10", "--samples", "200000",
      "--seed", "1"],
 ]
@@ -65,9 +68,9 @@ def test_seeded_bytes_do_not_depend_on_cpu_dispatch():
     if _run(disabled, "-c", "import numpy").returncode != 0:
         pytest.skip(f"numpy does not import with {' '.join(enabled)} disabled")
 
-    argv = json.dumps(SIMULATE_REPORTS)
+    argv = json.dumps(REPORT_RUNS)
     runs = [_run(env, "-c", SCRIPT, argv) for env in (default, disabled)]
     for run in runs:
         assert run.returncode == 0, run.stderr
-    assert len(runs[0].stdout.split()) == 3 + len(SIMULATE_REPORTS)
+    assert len(runs[0].stdout.split()) == 3 + len(REPORT_RUNS)
     assert runs[1].stdout == runs[0].stdout

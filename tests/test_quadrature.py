@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binomax import quadrature
 from binomax.errors import NonPositiveS, NRequired, ToleranceNotMet
@@ -11,6 +12,8 @@ from binomax.quadrature import (
     _MIN_DEPTH,
     TOLERANCE_FLOOR,
     QuadratureResult,
+    _cdf_batch,
+    _density_batch,
     adaptive_simpson,
     laplace_via_cdf_quadrature,
     laplace_via_density_quadrature,
@@ -75,19 +78,41 @@ def bits(result):
     return result.value.hex(), result.estimated_error.hex(), result.evaluations
 
 
-@pytest.fixture
-def simpson_calls(monkeypatch):
-    """Record each route's (a, b, tol) and result from ``adaptive_simpson``."""
-    calls = []
+def outcome(result):
+    """A result's bits, or the text of the ToleranceNotMet given in its place."""
+    if isinstance(result, ToleranceNotMet):
+        return "ToleranceNotMet", str(result)
+    return bits(result)
 
-    def spy(f, a, b, tol):
-        call = {"args": (a, b, tol)}
-        calls.append(call)  # before the call, so a raising call is recorded too
-        call["result"] = adaptive_simpson(f, a, b, tol)
-        return call["result"]
 
-    monkeypatch.setattr(quadrature, "adaptive_simpson", spy)
-    return calls
+def run(call, *args):
+    """The outcome of one call, whether it returns or raises ToleranceNotMet."""
+    try:
+        return outcome(call(*args))
+    except ToleranceNotMet as exc:
+        return outcome(exc)
+
+
+def cdf_oracle(s, n, tol, max_depth=_MAX_DEPTH):
+    """The cdf route by the oracle: [0, ln(2/tol)/s] to tol/2, plus the tail bound."""
+    cutoff = math.log(2.0 / tol) / s
+    base = oracle_simpson(cdf_integrand(s, n), 0.0, cutoff, tol / 2.0, max_depth)
+    return QuadratureResult(base.value, base.estimated_error + math.exp(-s * cutoff),
+                            base.evaluations)
+
+
+def density_oracle(s, n, tol, max_depth=_MAX_DEPTH):
+    """The density route by the oracle: [0, 1] to tol."""
+    return oracle_simpson(density_integrand(s, n), 0.0, 1.0, tol, max_depth)
+
+
+# Per route: the single-integral function, its batch over n, its oracle.
+ROUTES = {
+    "cdf": (laplace_via_cdf_quadrature, _cdf_batch, cdf_oracle),
+    "density": (laplace_via_density_quadrature, _density_batch, density_oracle),
+}
+ORACLE_S = (0.5, 1.0, 2.0, 10.0, 1.557)
+ORACLE_N = [1, 2, 7, 120, 1000, 5000]
 
 
 class TestAdaptiveSimpson:
@@ -139,17 +164,23 @@ class TestAdaptiveSimpson:
 
 
 class TestAgainstTheRecursiveOracle:
-    @pytest.mark.parametrize("route,integrand", [
-        (laplace_via_cdf_quadrature, cdf_integrand),
-        (laplace_via_density_quadrature, density_integrand),
-    ], ids=["cdf", "density"])
-    @pytest.mark.parametrize("n", [1, 2, 7, 120, 1000, 5000])
-    def test_same_value_error_and_evaluations(self, simpson_calls, route, integrand, n):
-        for s in (0.5, 1.0, 2.0, 10.0, 1.557):
-            route(s, n, 1e-12)
-            call = simpson_calls.pop()
-            expected = oracle_simpson(integrand(s, n), *call["args"])
-            assert bits(call["result"]) == bits(expected)
+    """Every route result, one integral or a batch over n, is the oracle's
+    on the route's interval and tolerance: the same value, estimate and
+    evaluation count in hex, or the same ToleranceNotMet text."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("n", ORACLE_N)
+    def test_same_value_error_and_evaluations(self, route, n):
+        single, _, oracle = ROUTES[route]
+        for s in ORACLE_S:
+            assert run(single, s, n, 1e-12) == run(oracle, s, n, 1e-12)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_batch_over_n_equals_the_oracle(self, route):
+        _, batch, oracle = ROUTES[route]
+        for s in ORACLE_S:
+            got = list(map(outcome, batch(s, ORACLE_N, 1e-12)))
+            assert got == [run(oracle, s, n, 1e-12) for n in ORACLE_N]
 
     def test_empty_interval(self):
         seen = []
@@ -158,13 +189,55 @@ class TestAgainstTheRecursiveOracle:
         assert bits(result) == bits(expected) == ("0x0.0p+0", "0x0.0p+0", 1)
         assert seen == [1.5]
 
-    def test_same_tolerance_not_met_message(self, simpson_calls):
-        with pytest.raises(ToleranceNotMet) as ours:
-            laplace_via_cdf_quadrature(1e-20, 3, 1e-10)
-        with pytest.raises(ToleranceNotMet) as oracle:
-            oracle_simpson(cdf_integrand(1e-20, 3), *simpson_calls.pop()["args"])
-        assert str(ours.value) == str(oracle.value) == (
-            "interval [0, 2057.3] still above tolerance after 60 subdivisions")
+    def test_same_tolerance_not_met_message(self):
+        message = "interval [0, 2057.3] still above tolerance after 60 subdivisions"
+        assert run(laplace_via_cdf_quadrature, 1e-20, 3, 1e-10) == ("ToleranceNotMet", message)
+        assert run(cdf_oracle, 1e-20, 3, 1e-10) == ("ToleranceNotMet", message)
+        # in a batch, each integral fails at its own leftmost interval
+        got = list(map(outcome, _cdf_batch(1e-20, [0, 1, 3, 40], 1e-10)))
+        assert got == [run(cdf_oracle, 1e-20, n, 1e-10) for n in (0, 1, 3, 40)]
+        assert got[2] == ("ToleranceNotMet", message)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_batch_names_the_failure_the_recursion_meets_first(self, route, monkeypatch):
+        # at a depth limit of 6, many intervals of each integrand fail at
+        # once; the message names the leftmost, which the recursion meets first
+        _, batch, oracle = ROUTES[route]
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 6)
+        ns = [1, 2, 5, 40]
+        got = list(map(outcome, batch(1.0, ns, 1e-13)))
+        assert got == [run(oracle, 1.0, n, 1e-13, 6) for n in ns]
+        assert sum(result[0] == "ToleranceNotMet" for result in got) >= 2
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_integrand_past_the_cap_leaves_the_batch(self, route, monkeypatch):
+        # with room for 200 open intervals, the wider integrands leave the
+        # batch and adaptive_simpson integrates them from the start
+        _, batch, oracle = ROUTES[route]
+        monkeypatch.setattr(quadrature, "_MAX_OPEN", 200)
+        fallbacks = []
+
+        def spy(f, a, b, tol):
+            fallbacks.append((a, b, tol))
+            return adaptive_simpson(f, a, b, tol)
+
+        monkeypatch.setattr(quadrature, "adaptive_simpson", spy)
+        ns = [1, 2, 3, 9, 30, 120]
+        got = list(map(outcome, batch(0.5, ns, 1e-10)))
+        assert got == [run(oracle, 0.5, n, 1e-10) for n in ns]
+        assert 0 < len(fallbacks) < len(ns)
+
+    @settings(max_examples=30, deadline=None)
+    @given(s=st.floats(0.05, 100.0),
+           ns=st.lists(st.integers(0, 300), min_size=1, max_size=5, unique=True).map(sorted),
+           tol=st.floats(TOLERANCE_FLOOR, 0.5))
+    def test_batch_equals_one_at_a_time(self, s, ns, tol):
+        for route, (single, batch, oracle) in ROUTES.items():
+            if route == "density":
+                ns = [n for n in ns if n >= 1]
+            expected = [run(single, s, n, tol) for n in ns]
+            assert list(map(outcome, batch(s, ns, tol))) == expected
+            assert expected == [run(oracle, s, n, tol) for n in ns]
 
 
 class TestCdfRoute:
